@@ -85,7 +85,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	store, err := campaign.NewStoreWith(*cacheDir, campaign.StoreConfig{MaxBytes: *storeMaxBytes, HotBytes: *hotCacheBytes})
+	store, err := campaign.NewShardedStoreWith(*cacheDir, 0, campaign.StoreConfig{MaxBytes: *storeMaxBytes, HotBytes: *hotCacheBytes})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "astro-experiments:", err)
 		os.Exit(1)

@@ -18,6 +18,9 @@
 //
 //	astro-serve [-addr :8080] [-j N] [-cache dir] [-shards N] [-store-max-bytes N] [-hot-cache-bytes N] [-remote] [-lease-ttl d] [-token t] [-journal dir]
 //
+// -shards 0 (the default) opens -cache with the shard count it was created
+// with, or as one shard when the directory is new.
+//
 // Quick tour (see README.md for a full example):
 //
 //	curl -s localhost:8080/campaigns -d '{"benchmarks":["parsec"],"configs":["all"]}'
@@ -46,7 +49,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	jobs := flag.Int("j", runtime.NumCPU(), "campaign pool workers (local execution and -remote fallback)")
 	cacheDir := flag.String("cache", "", "on-disk result cache directory (default: in-memory only)")
-	shards := flag.Int("shards", 0, "shard the result store by key prefix (0 = single directory; use with concurrent workers)")
+	shards := flag.Int("shards", 0, "shard the result store by key prefix for concurrent writers (0 = the existing store's count, or 1 for a new directory)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "cap the on-disk result store; LRU-evicts unpinned entries past the cap (0 = unbounded; requires -cache)")
 	hotCacheBytes := flag.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap)")
 	remote := flag.Bool("remote", false, "execute campaigns on pull-based workers (`astro worker`) instead of in-process")
@@ -58,25 +61,14 @@ func main() {
 	flag.Parse()
 
 	storeCfg := campaign.StoreConfig{MaxBytes: *storeMaxBytes, HotBytes: *hotCacheBytes}
-	var store campaign.ResultStore
-	var err error
-	stopCompact := func() {}
-	if *shards > 0 {
-		var ss *campaign.ShardedStore
-		ss, err = campaign.NewShardedStoreWith(*cacheDir, *shards, storeCfg)
-		if err == nil {
-			store = ss
-			// Background compaction keeps each shard's keys.idx honest
-			// about evictions without ever blocking writers.
-			stopCompact = ss.StartCompactor(0)
-		}
-	} else {
-		store, err = campaign.NewStoreWith(*cacheDir, storeCfg)
-	}
+	store, err := campaign.NewShardedStoreWith(*cacheDir, *shards, storeCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "astro-serve:", err)
 		os.Exit(1)
 	}
+	// Background compaction keeps each shard's keys.idx honest about
+	// evictions without ever blocking writers.
+	stopCompact := store.StartCompactor(0)
 
 	queue := campaign.NewWorkQueue(*leaseTTL)
 	queue.Store = store // keep late results of cancelled campaigns

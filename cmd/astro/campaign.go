@@ -72,7 +72,7 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	store, err := campaign.NewStore(*cacheDir)
+	store, err := campaign.OpenStore(*cacheDir)
 	if err != nil {
 		return err
 	}

@@ -156,7 +156,7 @@ func scenarioSweep(args []string, reportOnly bool) error {
 	if err != nil {
 		return err
 	}
-	store, err := campaign.NewStore(*cacheDir)
+	store, err := campaign.OpenStore(*cacheDir)
 	if err != nil {
 		return err
 	}

@@ -37,7 +37,7 @@ func cmdWorker(args []string) error {
 	poll := fs.Duration("poll", 500*time.Millisecond, "idle poll interval")
 	renew := fs.Duration("renew", 0, "lease renewal heartbeat interval (0 = a third of the coordinator's TTL; negative disables renewal)")
 	cacheDir := fs.String("cache", "", "local result cache directory (answers re-leased cells without resimulating)")
-	shards := fs.Int("shards", 0, "shard the local cache (0 = single directory)")
+	shards := fs.Int("shards", 0, "shard the local cache by key prefix (0 = the existing cache's count, or 1 for a new directory)")
 	storeMaxBytes := fs.Int64("store-max-bytes", 0, "cap the local cache; LRU-evicts past the cap (0 = unbounded; requires -cache)")
 	hotCacheBytes := fs.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap)")
 	token := fs.String("token", "", "bearer token for the coordinator's /work endpoints")
@@ -49,14 +49,12 @@ func cmdWorker(args []string) error {
 
 	storeCfg := campaign.StoreConfig{MaxBytes: *storeMaxBytes, HotBytes: *hotCacheBytes}
 	var store campaign.ResultStore
-	var err error
-	if *shards > 0 {
-		store, err = campaign.NewShardedStoreWith(*cacheDir, *shards, storeCfg)
-	} else if *cacheDir != "" {
-		store, err = campaign.NewStoreWith(*cacheDir, storeCfg)
-	}
-	if err != nil {
-		return err
+	if *cacheDir != "" || *shards > 0 {
+		ss, err := campaign.NewShardedStoreWith(*cacheDir, *shards, storeCfg)
+		if err != nil {
+			return err
+		}
+		store = ss
 	}
 
 	ctx, cancel := context.WithCancel(bgContext())

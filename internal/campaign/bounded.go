@@ -31,12 +31,12 @@ import (
 // values).
 
 // StoreConfig bounds a disk-backed store. The zero value means
-// unbounded — exactly the pre-cap behaviour.
+// unbounded; negative caps are refused.
 type StoreConfig struct {
 	// MaxBytes caps the disk tier: once the sum of stored value bytes
 	// would exceed it, least-recently-used unpinned entries are evicted
 	// (their files removed) until the store fits. 0 = unbounded.
-	// A sharded store splits the cap evenly across shards.
+	// The cap splits evenly across shards.
 	MaxBytes int64
 
 	// HotBytes caps the in-memory hot cache fronting the disk tier.
@@ -73,8 +73,8 @@ type Occupancy struct {
 }
 
 // Occupant is implemented by stores that account their disk tier;
-// readiness probes and the soak test consult it through the interface so
-// plain and sharded stores are interchangeable.
+// readiness probes and the soak test consult it through the interface, as
+// the ResultStore they hold may be a wrapper such as AgentExchange.
 type Occupant interface {
 	Occupancy() Occupancy
 }
@@ -250,11 +250,4 @@ func (h *hotCache) size() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.bytes
-}
-
-// lenKeys returns the resident entry count.
-func (h *hotCache) lenKeys() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.ent)
 }

@@ -17,23 +17,45 @@ func valFor(i, size int) []byte {
 	return bytes.Repeat([]byte{byte('a' + i%26)}, size)
 }
 
-// diskBytesOf walks a plain store directory and sums the value files —
-// the ground truth the accounting property checks against.
-func diskBytesOf(t *testing.T, dir string) (int64, int) {
+// filesOf walks every shard of the store under dir and returns each live
+// value file's size — the ground truth the accounting properties check
+// against.
+func filesOf(t *testing.T, dir string) map[string]int64 {
 	t.Helper()
-	keys, err := scanStoreDir(dir, 0)
+	shardDirs, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for _, k := range keys {
-		fi, err := os.Stat(filepath.Join(dir, k[:2], k+".json"))
+	files := map[string]int64{}
+	for _, sd := range shardDirs {
+		err := walkShard(sd, 0, func(key string, f os.DirEntry) {
+			fi, err := f.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[key] = fi.Size()
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += fi.Size()
 	}
-	return total, len(keys)
+	return files
+}
+
+// diskBytesOf sums filesOf.
+func diskBytesOf(t *testing.T, dir string) (int64, int) {
+	t.Helper()
+	files := filesOf(t, dir)
+	var total int64
+	for _, size := range files {
+		total += size
+	}
+	return total, len(files)
+}
+
+// valuePath is where the store keeps key's value file.
+func valuePath(s *ShardedStore, key string) string {
+	return s.shard(key).path(key)
 }
 
 // TestStorePutSingleDiskWrite pins the put-dedup fix: one unique key
@@ -41,7 +63,7 @@ func diskBytesOf(t *testing.T, dir string) (int64, int) {
 // including Puts from a later process over the same directory.
 func TestStorePutSingleDiskWrite(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewStore(dir)
+	s, err := NewShardedStore(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +85,7 @@ func TestStorePutSingleDiskWrite(t *testing.T) {
 
 	// A fresh process does not rewrite either: the Stat probe discovers
 	// the prior entry and skips the temp-file + fsync + rename churn.
-	s2, err := NewStore(dir)
+	s2, err := NewShardedStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +99,18 @@ func TestStorePutSingleDiskWrite(t *testing.T) {
 }
 
 // TestStoreCapRequiresDisk: a byte cap on a memory-only store would evict
-// authoritative bytes; both constructors must refuse.
+// authoritative bytes, and a negative cap would silently mean unbounded;
+// the constructor must refuse both.
 func TestStoreCapRequiresDisk(t *testing.T) {
-	if _, err := NewStoreWith("", StoreConfig{MaxBytes: 1 << 20}); err == nil {
-		t.Fatal("memory-only store accepted a byte cap")
+	for _, shards := range []int{1, 4} {
+		if _, err := NewShardedStoreWith("", shards, StoreConfig{MaxBytes: 1 << 20}); err == nil {
+			t.Fatalf("memory-only %d-shard store accepted a byte cap", shards)
+		}
 	}
-	if _, err := NewShardedStoreWith("", 4, StoreConfig{MaxBytes: 1 << 20}); err == nil {
-		t.Fatal("memory-only sharded store accepted a byte cap")
+	for _, cfg := range []StoreConfig{{MaxBytes: -1}, {HotBytes: -1}, {MaxBytes: 1 << 20, HotBytes: -1}} {
+		if _, err := NewShardedStoreWith(t.TempDir(), 0, cfg); err == nil {
+			t.Fatalf("store accepted negative caps %+v", cfg)
+		}
 	}
 }
 
@@ -92,7 +119,7 @@ func TestStoreCapRequiresDisk(t *testing.T) {
 // loses that protection the moment it is unpinned.
 func TestBoundedStorePinnedNeverEvicted(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewStoreWith(dir, StoreConfig{MaxBytes: 1024})
+	s, err := NewShardedStoreWith(dir, 1, StoreConfig{MaxBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +140,7 @@ func TestBoundedStorePinnedNeverEvicted(t *testing.T) {
 	if got, ok := s.Get(pinKey); !ok || !bytes.Equal(got, valFor(0, 256)) {
 		t.Fatalf("pinned key evicted or corrupted (ok=%v)", ok)
 	}
-	if _, err := os.Stat(s.path(pinKey)); err != nil {
+	if _, err := os.Stat(valuePath(s, pinKey)); err != nil {
 		t.Fatalf("pinned key's file gone: %v", err)
 	}
 	if occ.PinnedKeys != 1 || occ.PinnedBytes != 256 {
@@ -126,7 +153,7 @@ func TestBoundedStorePinnedNeverEvicted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(s.path(pinKey)); err == nil {
+	if _, err := os.Stat(valuePath(s, pinKey)); err == nil {
 		t.Fatal("unpinned cold key survived 50 more puts against a 4-entry cap")
 	}
 }
@@ -140,7 +167,7 @@ func TestBoundedStorePinnedNeverEvicted(t *testing.T) {
 // cap exactly like a pinned eviction survivor.
 func TestBoundedStoreOversizedValueDoesNotWipeShard(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewStoreWith(dir, StoreConfig{MaxBytes: 1024})
+	s, err := NewShardedStoreWith(dir, 1, StoreConfig{MaxBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +187,7 @@ func TestBoundedStoreOversizedValueDoesNotWipeShard(t *testing.T) {
 	if occ.Evictions != 1 {
 		t.Fatalf("oversized refusal counted %d evictions, want 1", occ.Evictions)
 	}
-	if _, err := os.Stat(s.path(big)); err == nil {
+	if _, err := os.Stat(valuePath(s, big)); err == nil {
 		t.Fatal("oversized value landed on disk despite exceeding the whole cap")
 	}
 	for i := 1; i <= 3; i++ {
@@ -179,7 +206,7 @@ func TestBoundedStoreOversizedValueDoesNotWipeShard(t *testing.T) {
 	if got, ok := s.Get(pinnedBig); !ok || !bytes.Equal(got, valFor(101, 2048)) {
 		t.Fatalf("pinned oversized value not served back (ok=%v)", ok)
 	}
-	if _, err := os.Stat(s.path(pinnedBig)); err != nil {
+	if _, err := os.Stat(valuePath(s, pinnedBig)); err != nil {
 		t.Fatalf("pinned oversized value not on disk: %v", err)
 	}
 	if occ := s.Occupancy(); occ.DiskBytes <= occ.CapBytes {
@@ -191,7 +218,7 @@ func TestBoundedStoreOversizedValueDoesNotWipeShard(t *testing.T) {
 // reopened with a cap below its contents, evicts down to the cap at open.
 func TestBoundedStoreReopenHonorsLoweredCap(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewStore(dir)
+	s, err := NewShardedStore(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +227,7 @@ func TestBoundedStoreReopenHonorsLoweredCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s2, err := NewStoreWith(dir, StoreConfig{MaxBytes: 500})
+	s2, err := NewShardedStoreWith(dir, 0, StoreConfig{MaxBytes: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,168 +241,128 @@ func TestBoundedStoreReopenHonorsLoweredCap(t *testing.T) {
 }
 
 // TestBoundedStoreProperty is the seeded eviction + refcount state
-// machine: randomized interleavings of Put/Get/Pin/Unpin against a
-// capped store, with a shadow model, asserting after every step that
-//
-//   - pinned keys are never evicted (their bytes remain readable and
-//     exactly canonical);
-//   - Get never returns wrong bytes — hit-with-reference-bytes or miss
-//     are the only outcomes;
-//   - the store's byte accounting equals the bytes actually on disk;
-//   - occupancy exceeds the cap only when pinned bytes force it.
+// machine on a one-shard store: randomized interleavings of
+// Put/Get/Pin/Unpin/Compact against a capped store, with a shadow model
+// (see runBoundedProperty).
 func TestBoundedStoreProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			dir := t.TempDir()
-			const cap = 2000
-			s, err := NewStoreWith(dir, StoreConfig{MaxBytes: cap, HotBytes: 700})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const universe = 24
-			ref := map[string][]byte{} // canonical bytes per key ever Put
-			pinned := map[string]int{} // shadow refcounts
-			keyOf := func(i int) string { return testKey(i) }
-
-			for step := 0; step < 600; step++ {
-				i := rng.Intn(universe)
-				key := keyOf(i)
-				switch op := rng.Intn(10); {
-				case op < 4: // Put
-					val := valFor(i, 50+rng.Intn(400))
-					if prev, ok := ref[key]; ok {
-						val = prev // content-addressed: same key, same bytes
-					}
-					if err := s.Put(key, val); err != nil {
-						t.Fatal(err)
-					}
-					ref[key] = val
-				case op < 7: // Get
-					got, ok := s.Get(key)
-					if ok && !bytes.Equal(got, ref[key]) {
-						t.Fatalf("step %d: Get(%s) returned wrong bytes", step, key[:8])
-					}
-				case op < 9: // Pin
-					s.Pin(key)
-					pinned[key]++
-				default: // Unpin
-					s.Unpin(key)
-					if pinned[key] > 0 {
-						pinned[key]--
-					}
-				}
-
-				// Invariant: every pinned key that has bytes keeps them.
-				for k, n := range pinned {
-					if n <= 0 || ref[k] == nil {
-						continue
-					}
-					if _, err := os.Stat(s.path(k)); err != nil {
-						// Only an eviction could remove it; pinning after
-						// eviction legally finds nothing — but a key pinned
-						// while present must stay. Distinguish via the
-						// store's own view: if it was ever evicted while
-						// pinned the Get would now recompute differently,
-						// so assert through Get.
-						if got, ok := s.Get(k); ok && !bytes.Equal(got, ref[k]) {
-							t.Fatalf("step %d: pinned key %s corrupted", step, k[:8])
-						}
-					}
-				}
-			}
-
-			// Final accounting: model vs disk vs store.
-			occ := s.Occupancy()
-			bytesOnDisk, keysOnDisk := diskBytesOf(t, dir)
-			if occ.DiskBytes != bytesOnDisk || occ.DiskKeys != keysOnDisk {
-				t.Fatalf("accounting diverged: store says %d bytes/%d keys, disk holds %d/%d",
-					occ.DiskBytes, occ.DiskKeys, bytesOnDisk, keysOnDisk)
-			}
-			if occ.DiskBytes > cap && occ.PinnedBytes <= cap {
-				t.Fatalf("over cap (%d > %d) without pinned pressure (%d pinned bytes)",
-					occ.DiskBytes, cap, occ.PinnedBytes)
-			}
-			// Every surviving entry is byte-exact.
-			liveKeys, err := scanStoreDir(dir, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range liveKeys {
-				got, ok := s.Get(k)
-				if !ok || !bytes.Equal(got, ref[k]) {
-					t.Fatalf("surviving key %s corrupted (ok=%v)", k[:8], ok)
-				}
-			}
+			runBoundedProperty(t, seed, 1, 24, 600, StoreConfig{MaxBytes: 2000, HotBytes: 700})
 		})
 	}
 }
 
-// TestShardedBoundedProperty runs the same state machine through the
-// sharded front door with compaction interleaved: the per-shard caps,
-// the shared hot cache and the shared pin ledger must uphold the same
-// invariants, and Compact must never lose a live key from the index.
+// TestShardedBoundedProperty runs the same state machine over four
+// shards: the per-shard caps, the shared hot cache and the shared pin
+// ledger must uphold the same invariants.
 func TestShardedBoundedProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+	runBoundedProperty(t, 99, 4, 40, 500, StoreConfig{MaxBytes: 4000, HotBytes: 1000})
+}
+
+// runBoundedProperty drives a capped store through steps random
+// operations over a universe of keys, asserting that
+//
+//   - Get never returns wrong bytes — hit-with-reference-bytes or miss
+//     are the only outcomes;
+//   - a pinned key, once on disk, stays there until its last unpin;
+//   - the store's byte accounting equals the bytes actually on disk;
+//   - a shard sits over its cap only when every entry left in it was
+//     pinned (eviction skips pins and may evict nothing else);
+//   - Compact never loses a live key from the index: afterwards Keys()
+//     enumerates precisely the keys whose files are live, each
+//     byte-exact.
+func runBoundedProperty(t *testing.T, seed int64, shards, universe, steps int, cfg StoreConfig) {
+	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
-	s, err := NewShardedStoreWith(dir, 4, StoreConfig{MaxBytes: 4000, HotBytes: 1000})
+	s, err := NewShardedStoreWith(dir, shards, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := map[string][]byte{}
-	for step := 0; step < 500; step++ {
-		i := rng.Intn(40)
+	ref := map[string][]byte{}      // canonical bytes per key ever Put
+	pinned := map[string]int{}      // shadow refcounts
+	everPinned := map[string]bool{} // keys pinned at any point
+	mustStay := map[string]bool{}   // pinned keys seen on disk since their pin
+	for step := 0; step < steps; step++ {
+		i := rng.Intn(universe)
 		key := testKey(i)
 		switch op := rng.Intn(12); {
-		case op < 5:
-			val := valFor(i, 50+rng.Intn(300))
+		case op < 5: // Put
+			val := valFor(i, 50+rng.Intn(400))
 			if prev, ok := ref[key]; ok {
-				val = prev
+				val = prev // content-addressed: same key, same bytes
 			}
 			if err := s.Put(key, val); err != nil {
 				t.Fatal(err)
 			}
 			ref[key] = val
-		case op < 9:
+		case op < 9: // Get
 			if got, ok := s.Get(key); ok && !bytes.Equal(got, ref[key]) {
-				t.Fatalf("step %d: wrong bytes for %s", step, key[:8])
+				t.Fatalf("step %d: Get(%s) returned wrong bytes", step, key[:8])
 			}
-		case op < 10:
+		case op < 10: // Pin
 			s.Pin(key)
-		case op < 11:
+			pinned[key]++
+			everPinned[key] = true
+		case op < 11: // Unpin
 			s.Unpin(key)
+			if pinned[key] > 0 {
+				pinned[key]--
+			}
+			if pinned[key] == 0 {
+				delete(mustStay, key)
+			}
 		default:
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
+			}
+		}
+		for k, n := range pinned {
+			if n == 0 {
+				continue
+			}
+			_, err := os.Stat(valuePath(s, k))
+			if err == nil {
+				mustStay[k] = true
+			} else if mustStay[k] {
+				t.Fatalf("step %d: pinned key %s evicted", step, k[:8])
 			}
 		}
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
+
 	occ := s.Occupancy()
-	if occ.CapBytes != 4000 {
-		t.Fatalf("summed shard caps = %d, want 4000", occ.CapBytes)
+	if occ.CapBytes != cfg.MaxBytes {
+		t.Fatalf("summed shard caps = %d, want %d", occ.CapBytes, cfg.MaxBytes)
 	}
-	// After compaction the index and the disk agree exactly: Keys()
-	// enumerates precisely the keys whose files are live, each byte-exact.
+	files := filesOf(t, dir)
+	bytesOnDisk, keysOnDisk := diskBytesOf(t, dir)
+	if occ.DiskBytes != bytesOnDisk || occ.DiskKeys != keysOnDisk {
+		t.Fatalf("accounting diverged: store says %d bytes/%d keys, disk holds %d/%d",
+			occ.DiskBytes, occ.DiskKeys, bytesOnDisk, keysOnDisk)
+	}
+	for i, sh := range s.shards {
+		if sh.diskBytes <= sh.maxBytes {
+			continue
+		}
+		for k := range sh.disk {
+			if !everPinned[k] {
+				t.Fatalf("shard %d over cap (%d > %d) holding never-pinned key %s", i, sh.diskBytes, sh.maxBytes, k[:8])
+			}
+		}
+	}
 	keys := s.Keys()
+	if len(keys) != len(files) {
+		t.Fatalf("index enumerates %d keys, disk holds %d", len(keys), len(files))
+	}
 	for _, k := range keys {
-		got, ok := s.Get(k)
-		if !ok || !bytes.Equal(got, ref[k]) {
-			t.Fatalf("indexed key %s unreadable or corrupted after compaction (ok=%v)", k[:8], ok)
+		if _, live := files[k]; !live {
+			t.Fatalf("index enumerates %s, which has no live file", k[:8])
 		}
-	}
-	var liveOnDisk int
-	for i := 0; i < 4; i++ {
-		ks, err := scanStoreDir(filepath.Join(dir, fmt.Sprintf("shard-%02x", i)), 0)
-		if err != nil {
-			t.Fatal(err)
+		if got, ok := s.Get(k); !ok || !bytes.Equal(got, ref[k]) {
+			t.Fatalf("surviving key %s unreadable or corrupted (ok=%v)", k[:8], ok)
 		}
-		liveOnDisk += len(ks)
-	}
-	if len(keys) != liveOnDisk {
-		t.Fatalf("index enumerates %d keys, disk holds %d", len(keys), liveOnDisk)
 	}
 }
 
@@ -453,7 +440,7 @@ func TestShardedCompactionCrashSafety(t *testing.T) {
 // a capped store cannot evict a snapshot a live campaign references.
 func TestQueuePinsAgentKeyForCellLifetime(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStoreWith(dir, StoreConfig{MaxBytes: 1024})
+	store, err := NewShardedStoreWith(dir, 1, StoreConfig{MaxBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +497,7 @@ func TestQueuePinsAgentKeyForCellLifetime(t *testing.T) {
 		t.Fatal("agent key still pinned after both cells released it")
 	}
 	flood(60, 90)
-	if _, err := os.Stat(store.path(agentKey)); err == nil {
+	if _, err := os.Stat(valuePath(store, agentKey)); err == nil {
 		t.Fatal("cold unpinned snapshot survived the post-release flood")
 	}
 }

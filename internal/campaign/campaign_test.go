@@ -200,7 +200,7 @@ func TestStoreDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := NewStore(dir)
+	s1, err := NewShardedStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestStoreDiskTier(t *testing.T) {
 
 	// A fresh store over the same directory serves the whole campaign from
 	// disk: zero fresh simulations.
-	s2, err := NewStore(dir)
+	s2, err := NewShardedStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

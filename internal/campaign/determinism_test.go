@@ -19,7 +19,7 @@ func determinismSpec() Spec {
 	}
 }
 
-func runSpec(t *testing.T, workers int, store *Store) []*Outcome {
+func runSpec(t *testing.T, workers int, store ResultStore) []*Outcome {
 	t.Helper()
 	spec := determinismSpec()
 	jobs, err := spec.Expand()

@@ -23,15 +23,10 @@ type Healther interface {
 	Healthy() error
 }
 
-// Healthy verifies the store's disk tier (when configured) still
+// Healthy verifies the store's root directory (when configured) still
 // accepts writes, by creating and removing a probe file. A read-only
-// remount or full disk fails here before it fails a result Put.
-func (s *Store) Healthy() error {
-	return probeDirWritable(s.dir)
-}
-
-// Healthy verifies the sharded store's root directory still accepts
-// writes. One probe suffices: the shards live under the same mount.
+// remount or full disk fails here before it fails a result Put; one probe
+// suffices, as the shards live under the same mount.
 func (s *ShardedStore) Healthy() error {
 	return probeDirWritable(s.dir)
 }

@@ -98,7 +98,7 @@ func TestStoreHealthy(t *testing.T) {
 	if err := probeDirWritable(filepath.Join(t.TempDir(), "gone")); err == nil {
 		t.Fatal("missing dir reported healthy")
 	}
-	store, err := NewStore(t.TempDir())
+	store, err := NewShardedStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestStoreHealthy(t *testing.T) {
 // the only way a bounded store can stay over it — fails with the pinned
 // pressure named, and clears once the pins release and eviction runs.
 func TestReadinessStorePressure(t *testing.T) {
-	store, err := NewStoreWith(t.TempDir(), StoreConfig{MaxBytes: 512})
+	store, err := NewShardedStoreWith(t.TempDir(), 1, StoreConfig{MaxBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

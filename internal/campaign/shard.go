@@ -1,7 +1,7 @@
 package campaign
 
 import (
-	"encoding/json"
+	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,238 +14,144 @@ import (
 	"astro/internal/telemetry"
 )
 
-// ShardedStore partitions a content-addressed result store into
-// power-of-two shards selected by key prefix: shard(key) = first 8 bits of
-// the (hex) key, masked to the shard count. Every shard is an independent
-// Store with its own lock and its own directory, so N workers (or N
-// coordinator goroutines draining worker results) writing concurrently
-// contend only when their keys land in the same shard — never on one global
-// mutex, and never on one directory's rename traffic.
+// shard is one partition of a ShardedStore: a memory tier and, when the
+// store has a directory, a disk tier laid out as <key[:2]>/<key>.json
+// under shard-XX/ plus the shard's keys.idx. The two-character fan-out
+// keeps directories small for hundred-thousand-job campaigns.
 //
-// Keys are SHA-256 hex, so the prefix is uniformly distributed and the
-// shards stay balanced without any placement logic.
-//
-// Layout under dir:
-//
-//	INDEX.json            {"version":1,"shards":N} — pins the shard count
-//	shard-00/…/…json      shard 0's Store tree (same layout as Store)
-//	shard-00/keys.idx     append-only key index, one key per line
-//	shard-01/…            …
-//
-// The per-shard keys.idx is appended after every successful disk Put (the
-// value write is fsync+rename crash-safe first; the index line is best
-// effort). It lets a reopened store enumerate what it holds (Keys, Len)
-// without statting hundreds of thousands of files, which is what the
-// coordinator uses to skip leasing cells that any previous run — local or
-// remote — already produced. A missing or truncated index line only costs
-// enumeration: Get still falls through to the disk tier by path, so
-// correctness never depends on the index. An eviction leaves its index
-// line behind on disk (the in-memory key set forgets immediately);
-// compaction — CompactShard / StartCompactor — rewrites keys.idx down to
-// the live keys with the same atomic write discipline as values.
-//
-// The shard count is part of the on-disk layout, so reopening a directory
-// with a different -shards value is an error rather than a silent cache
-// miss on every key.
-//
-// Opened with NewShardedStoreWith and a StoreConfig, the store is
-// bounded: the MaxBytes cap splits evenly across shards (uniform keys
-// keep the split fair), each shard evicts LRU-unpinned entries
-// independently under its own lock, and one shared hot cache plus one
-// shared pin ledger front the whole store — see bounded.go.
-type ShardedStore struct {
-	dir    string
-	mask   uint8
-	cfg    StoreConfig
-	hot    *hotCache  // shared across shards; nil when unbounded
-	pins   *PinLedger // shared across shards
-	shards []*shardStore
+// In a bounded store the disk tier holds at most maxBytes of value bytes,
+// evicting least-recently-used unpinned entries (the whole file — an
+// entry is always either fully present or absent), and the memory tier
+// is the store's shared byte-bounded hot cache instead of an unbounded
+// map. Eviction is safe by construction: a content-addressed entry can
+// only be absent (forcing a recomputation that produces the identical
+// bytes) or byte-for-byte correct, never stale or torn (DESIGN.md
+// invariant 11). Pinned keys — see PinLedger — are skipped by eviction,
+// which is how trained-agent snapshots referenced by live campaigns
+// survive any pressure.
+type shard struct {
+	s       *ShardedStore    // owner: shared hot cache, pin ledger, occupancy totals
+	dir     string           // "" = memory-only
+	idxPath string           // dir/keys.idx
+	gauge   *telemetry.Gauge // distinct keys in this shard; nil when memory-only
+
+	// idxMu serializes keys.idx appends, eviction pruning and the
+	// compaction swap, so none of them holds mu across file I/O.
+	idxMu sync.Mutex
+
+	mu      sync.RWMutex
+	mem     map[string][]byte // unbounded memory tier (nil when s.hot is set)
+	indexed map[string]bool   // keys recorded in keys.idx (bounded: the open-time scan), pruned on eviction
+	nkeys   int               // |mem ∪ indexed|, kept incrementally for Len and the gauge
+
+	// Disk-tier accounting (dir != ""). disk maps every key known to be
+	// on disk to its LRU element; for unbounded stores it fills lazily
+	// (Put, Get disk hits, Stat probes), for bounded ones it is seeded
+	// by a full scan at open so the cap holds across restarts.
+	maxBytes  int64
+	diskBytes int64
+	disk      map[string]*list.Element
+	lru       *list.List      // front = most recently used; values are *diskEnt
+	writing   map[string]bool // keys with a value write in flight (dedup without holding mu across fsync)
+
+	hits, misses, puts   uint64
+	diskWrites, putNoops uint64
+	evictions            uint64
 }
 
-type shardStore struct {
-	store *Store
-
-	mu      sync.Mutex // guards idxPath appends and known
-	idxPath string
-	known   map[string]bool // keys recorded on disk (loaded from keys.idx, pruned on eviction)
-
-	occupancy *telemetry.Gauge // distinct keys in this shard (telemetry only)
+type diskEnt struct {
+	key  string
+	size int64
 }
 
-// noteOccupancy publishes the shard's current distinct-key count and the
-// store-wide disk occupancy gauges. Callers must not hold sh.mu or the
-// shard's store lock (keysOf takes both).
-func (s *ShardedStore) noteOccupancy(sh *shardStore) {
-	sh.occupancy.Set(float64(len(s.keysOf(sh))))
-	var bytes int64
-	var keys int
-	for _, ss := range s.shards {
-		if ss == nil {
-			continue // still under construction
-		}
-		b, k := ss.store.diskUsage()
-		bytes += b
-		keys += k
+// openShard builds shard i, loading its disk tier when the store has a
+// directory: a bounded shard scans its files (the cap must hold over what
+// a previous process wrote), an unbounded one reads keys.idx.
+func (s *ShardedStore) openShard(i int, maxBytes int64) (*shard, error) {
+	sh := &shard{s: s}
+	if s.hot == nil {
+		sh.mem = map[string][]byte{}
 	}
-	gStoreDiskBytes.Set(float64(bytes))
-	gStoreDiskKeys.Set(float64(keys))
+	if s.dir == "" {
+		return sh, nil
+	}
+	sh.dir = filepath.Join(s.dir, fmt.Sprintf("shard-%02x", i))
+	if err := os.MkdirAll(sh.dir, 0o755); err != nil {
+		return nil, fmt.Errorf("campaign: store dir: %w", err)
+	}
+	sh.idxPath = filepath.Join(sh.dir, "keys.idx")
+	sh.gauge = shardGauge(i)
+	sh.maxBytes = maxBytes
+	sh.indexed = map[string]bool{}
+	sh.disk = map[string]*list.Element{}
+	sh.lru = list.New()
+	sh.writing = map[string]bool{}
+	if s.hot != nil {
+		return sh, sh.loadDiskTier()
+	}
+	sh.loadIndex()
+	return sh, nil
 }
 
-type shardManifest struct {
-	Version int `json:"version"`
-	Shards  int `json:"shards"`
+func (sh *shard) path(key string) string {
+	return filepath.Join(sh.dir, key[:2], key+".json")
 }
 
-const shardManifestName = "INDEX.json"
-
-// NewShardedStore opens (or creates) an unbounded sharded store under dir
-// with the given shard count (0 = 16; snapped up to a power of two, max
-// 256). An empty dir builds a memory-only sharded store (useful for
-// contention-free concurrent writers without persistence).
-func NewShardedStore(dir string, shards int) (*ShardedStore, error) {
-	return NewShardedStoreWith(dir, shards, StoreConfig{})
-}
-
-// NewShardedStoreWith is NewShardedStore with byte caps (see StoreConfig):
-// the disk cap splits evenly across shards, the hot cache and the pin
-// ledger are shared by all of them.
-func NewShardedStoreWith(dir string, shards int, cfg StoreConfig) (*ShardedStore, error) {
-	if shards <= 0 {
-		shards = 16
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	if n > 256 {
-		return nil, fmt.Errorf("campaign: sharded store: %d shards exceeds the 256-shard (one key byte) limit", shards)
-	}
-	if dir == "" && cfg.bounded() {
-		return nil, fmt.Errorf("campaign: store caps need a disk tier (-cache); a memory-only store cannot evict without losing results")
-	}
-	s := &ShardedStore{dir: dir, mask: uint8(n - 1), cfg: cfg, pins: NewPinLedger(), shards: make([]*shardStore, n)}
-	if cfg.bounded() {
-		s.hot = newHotCache(cfg.effHotBytes())
-	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("campaign: sharded store: %w", err)
-		}
-		mpath := filepath.Join(dir, shardManifestName)
-		if data, err := os.ReadFile(mpath); err == nil {
-			var m shardManifest
-			if err := json.Unmarshal(data, &m); err != nil {
-				return nil, fmt.Errorf("campaign: sharded store: corrupt %s: %w", shardManifestName, err)
-			}
-			if m.Shards != n {
-				return nil, fmt.Errorf("campaign: sharded store %s was created with %d shards, reopened with %d — shard count is part of the layout", dir, m.Shards, n)
-			}
-		} else {
-			// No manifest: this must be a fresh directory, not a populated
-			// plain-Store tree — opening that sharded would miss every
-			// stored key, silently invalidating the cache.
-			if hasPlainStoreLayout(dir) {
-				return nil, fmt.Errorf("campaign: %s holds a plain (unsharded) store; reopen it without -shards, or point the sharded store at a fresh directory", dir)
-			}
-			// Atomic like every other write in this subsystem: a crash
-			// mid-creation must not leave a torn manifest that bricks the
-			// directory on every later open.
-			data, _ := json.Marshal(shardManifest{Version: 1, Shards: n})
-			if err := writeFileAtomic(mpath, data); err != nil {
-				return nil, fmt.Errorf("campaign: sharded store: %w", err)
-			}
-		}
-	}
-	shardCfg := StoreConfig{}
-	if cfg.bounded() {
-		shardCfg.MaxBytes = cfg.MaxBytes / int64(n)
-		if cfg.MaxBytes > 0 && shardCfg.MaxBytes == 0 {
-			shardCfg.MaxBytes = 1 // a cap below one byte per shard still bounds, never unbounds
-		}
-		shardCfg.HotBytes = cfg.effHotBytes() // hot cache is shared; any >0 value flips the shard to bounded mode
-	}
-	for i := 0; i < n; i++ {
-		sub := ""
-		if dir != "" {
-			sub = filepath.Join(dir, fmt.Sprintf("shard-%02x", i))
-		}
-		st, err := newStoreTier(sub, shardCfg, s.hot, s.pins)
-		if err != nil {
-			return nil, err
-		}
-		sh := &shardStore{store: st, known: map[string]bool{}, occupancy: shardGauge(i)}
-		if sub != "" {
-			sh.idxPath = filepath.Join(sub, "keys.idx")
-			if cfg.bounded() {
-				// The open-time scan is ground truth (it already excludes
-				// anything evicted to honour a lowered cap); stale index
-				// lines from evictions before the last compaction must not
-				// resurrect phantom keys in Len/Keys.
-				for _, k := range st.diskKeys() {
-					sh.known[k] = true
-				}
-			} else {
-				sh.loadIndex()
-			}
-		}
-		// Evictions prune the in-memory key set immediately; keys.idx on
-		// disk catches up at the next compaction.
-		st.onEvict = func(key string) {
-			sh.mu.Lock()
-			delete(sh.known, key)
-			sh.mu.Unlock()
-			s.noteOccupancy(sh)
-		}
-		s.shards[i] = sh
-		s.noteOccupancy(sh)
-	}
-	return s, nil
-}
-
-// OpenStore opens dir as whichever store layout it holds: sharded when
-// the INDEX.json manifest is present (honouring the manifest's own
-// shard count), plain otherwise. Read-side tools — the journal replay
-// audit — use this so the operator needn't remember the -shards value
-// a coordinator was launched with. The store opens unbounded: an audit
-// must never evict the evidence.
-func OpenStore(dir string) (ResultStore, error) {
-	if dir == "" {
-		return NewMemStore(), nil
-	}
-	data, err := os.ReadFile(filepath.Join(dir, shardManifestName))
-	if err != nil {
-		return NewStore(dir)
-	}
-	var m shardManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("campaign: corrupt %s in %s: %w", shardManifestName, dir, err)
-	}
-	return NewShardedStore(dir, m.Shards)
-}
-
-// hasPlainStoreLayout reports whether dir looks like a populated
-// (unsharded) Store tree: any two-hex-char fan-out subdirectory.
-func hasPlainStoreLayout(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+// diskKey reports whether key can name a value file: lowercase hex, as
+// every content key is a SHA-256 digest, so no key (a mutated keys.idx
+// line included) can reach outside its fan-out directory.
+func diskKey(key string) bool {
+	if len(key) <= 2 {
 		return false
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() || len(name) != 2 {
-			continue
-		}
-		if _, err := strconv.ParseUint(name, 16, 8); err == nil {
-			return true
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
 		}
 	}
-	return false
+	return true
+}
+
+// loadDiskTier seeds a bounded shard's disk-tier accounting from the
+// files already present, ordered oldest-modified first so the LRU starts
+// with a sensible cold end, and evicts down to the cap if the directory
+// arrives over it (a cap lowered between runs). The scan is ground truth
+// for the key set too: stale index lines from evictions before the last
+// compaction must not resurrect phantom keys in Len/Keys.
+func (sh *shard) loadDiskTier() error {
+	type onDisk struct {
+		key   string
+		size  int64
+		mtime time.Time
+	}
+	var found []onDisk
+	err := walkShard(sh.dir, 0, func(key string, f os.DirEntry) {
+		if fi, err := f.Info(); err == nil {
+			found = append(found, onDisk{key: key, size: fi.Size(), mtime: fi.ModTime()})
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("campaign: store scan: %w", err)
+	}
+	// Oldest first, so the first PushFront calls land at the cold end.
+	sort.SliceStable(found, func(i, j int) bool { return found[i].mtime.Before(found[j].mtime) })
+	sh.mu.Lock()
+	for _, f := range found {
+		sh.trackLocked(f.key, f.size)
+	}
+	sh.evictLocked()
+	for k := range sh.disk {
+		sh.indexed[k] = true
+	}
+	sh.nkeys = len(sh.indexed)
+	sh.mu.Unlock()
+	return nil
 }
 
 // loadIndex reads the append-only key index, tolerating a torn final line
 // (a crash mid-append): every complete line is a key; anything else is
 // skipped.
-func (sh *shardStore) loadIndex() {
+func (sh *shard) loadIndex() {
 	data, err := os.ReadFile(sh.idxPath)
 	if err != nil {
 		return
@@ -253,196 +159,24 @@ func (sh *shardStore) loadIndex() {
 	start := 0
 	for i := 0; i < len(data); i++ {
 		if data[i] == '\n' {
-			if key := string(data[start:i]); len(key) == 64 {
-				sh.known[key] = true
+			if key := string(data[start:i]); len(key) == 64 && diskKey(key) {
+				sh.indexed[key] = true
 			}
 			start = i + 1
 		}
 	}
+	sh.nkeys = len(sh.indexed)
 }
 
-func (s *ShardedStore) shard(key string) *shardStore {
-	if len(key) < 2 {
-		return s.shards[0]
-	}
-	b, err := strconv.ParseUint(key[:2], 16, 8)
-	if err != nil {
-		return s.shards[0]
-	}
-	return s.shards[uint8(b)&s.mask]
-}
-
-// Get returns the stored canonical bytes for key, if present in the shard's
-// memory or disk tier.
-func (s *ShardedStore) Get(key string) ([]byte, bool) {
-	return s.shard(key).store.Get(key)
-}
-
-// Put stores data under key in its shard (crash-safe on disk, see
-// Store.Put) and records the key in the shard's index.
-func (s *ShardedStore) Put(key string, data []byte) error {
-	sh := s.shard(key)
-	if err := sh.store.Put(key, data); err != nil {
-		return err
-	}
-	defer s.noteOccupancy(sh)
-	if sh.idxPath == "" {
-		return nil
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.known[key] {
-		return nil
-	}
-	// Best effort: the value is already durable; a lost index line only
-	// costs enumeration, never a wrong Get.
-	f, err := os.OpenFile(sh.idxPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil
-	}
-	if _, err := f.WriteString(key + "\n"); err == nil {
-		sh.known[key] = true
-	}
-	f.Close()
-	return nil
-}
-
-// Pin and Unpin implement PinStore on the ledger every shard's eviction
-// consults: a pinned key is never evicted, whichever shard holds it.
-func (s *ShardedStore) Pin(key string)   { s.pins.Pin(key) }
-func (s *ShardedStore) Unpin(key string) { s.pins.Unpin(key) }
-
-// Occupancy sums the per-shard disk accounting (Occupant interface). The
-// hot cache is shared, so its numbers are read once, not per shard.
-func (s *ShardedStore) Occupancy() Occupancy {
-	var occ Occupancy
-	for _, sh := range s.shards {
-		so := sh.store.Occupancy()
-		occ.DiskBytes += so.DiskBytes
-		occ.CapBytes += so.CapBytes
-		occ.DiskKeys += so.DiskKeys
-		occ.PinnedKeys += so.PinnedKeys
-		occ.PinnedBytes += so.PinnedBytes
-		occ.DiskWrites += so.DiskWrites
-		occ.PutNoops += so.PutNoops
-		occ.Evictions += so.Evictions
-	}
-	if s.hot != nil {
-		occ.HotBytes = s.hot.size()
-		occ.HotCapBytes = s.hot.max
-	}
-	return occ
-}
-
-// CompactShard rewrites shard i's keys.idx down to the keys whose value
-// files are actually live, and sweeps temp-file strays older than a
-// minute (failed writeFileAtomic leftovers; in-flight writes are far
-// faster). The walk runs without any lock; the index swap holds only the
-// shard's index mutex for an atomic rewrite, so value reads and writes —
-// on this shard and every other — proceed throughout. Crash-safety is
-// the usual discipline: keys.idx is replaced via temp-file + fsync +
-// rename, so a crash mid-compaction leaves either the old index or the
-// new one, and a torn tail from a crash mid-*append* is repaired by the
-// next loadIndex (both pinned by tests).
-func (s *ShardedStore) CompactShard(i int) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("campaign: compact: no shard %d", i)
-	}
-	sh := s.shards[i]
-	if sh.idxPath == "" {
-		return nil
-	}
-	live, err := scanStoreDir(sh.store.dir, time.Minute)
-	if err != nil {
-		return fmt.Errorf("campaign: compact shard %02x: %w", i, err)
-	}
-	newKnown := make(map[string]bool, len(live))
-	for _, k := range live {
-		newKnown[k] = true
-	}
-	sh.mu.Lock()
-	// Keys Put between the walk and here are in known but not in the
-	// walk; confirm their file and keep them, so compaction never drops
-	// a fresh write from the index.
-	for k := range sh.known {
-		if !newKnown[k] {
-			if _, err := os.Stat(sh.store.path(k)); err == nil {
-				newKnown[k] = true
-			}
-		}
-	}
-	keys := make([]string, 0, len(newKnown))
-	for k := range newKnown {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\n')
-	}
-	werr := writeFileAtomic(sh.idxPath, []byte(b.String()))
-	if werr == nil {
-		sh.known = newKnown
-	}
-	sh.mu.Unlock()
-	if werr != nil {
-		return fmt.Errorf("campaign: compact shard %02x: %w", i, werr)
-	}
-	cStoreCompactions.Inc()
-	s.noteOccupancy(sh)
-	return nil
-}
-
-// Compact compacts every shard, stopping at the first error.
-func (s *ShardedStore) Compact() error {
-	for i := range s.shards {
-		if err := s.CompactShard(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// StartCompactor compacts all shards on a background ticker, one full
-// pass per interval (<= 0 picks a minute). The returned stop is
-// idempotent; compaction errors are counted, never fatal — a failed
-// rewrite leaves the previous index in place.
-func (s *ShardedStore) StartCompactor(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if err := s.Compact(); err != nil {
-					cStoreCompactErrors.Inc()
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// scanStoreDir walks a Store directory's two-hex fan-out and returns the
-// keys whose value files exist — the ground truth compaction rebuilds
-// keys.idx from. Temp files older than pruneTmpAge are removed (a failed
-// atomic write's leftovers); younger ones may be in-flight writes and
-// are left alone.
-func scanStoreDir(dir string, pruneTmpAge time.Duration) ([]string, error) {
-	if dir == "" {
-		return nil, nil
-	}
+// walkShard walks a shard directory's two-hex fan-out, calling fn for
+// every value file <key[:2]>/<key>.json. Temp files older than
+// pruneTmpAge (a failed atomic write's leftovers, at either level) are
+// removed; younger ones may be in-flight writes and are left alone, and
+// 0 prunes nothing.
+func walkShard(dir string, pruneTmpAge time.Duration, fn func(key string, f os.DirEntry)) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	now := time.Now()
 	pruneTmp := func(parent string, e os.DirEntry) bool {
@@ -454,15 +188,11 @@ func scanStoreDir(dir string, pruneTmpAge time.Duration) ([]string, error) {
 		}
 		return true
 	}
-	var keys []string
 	for _, e := range entries {
 		name := e.Name()
-		// keys.idx (and the manifest) rewrite atomically into this level,
-		// so a crashed rewrite leaves its temp file here.
-		if pruneTmp(dir, e) {
-			continue
-		}
-		if !e.IsDir() || len(name) != 2 {
+		// keys.idx rewrites atomically into this level, so a crashed
+		// rewrite leaves its temp file here.
+		if pruneTmp(dir, e) || !e.IsDir() || len(name) != 2 {
 			continue
 		}
 		if _, err := strconv.ParseUint(name, 16, 8); err != nil {
@@ -475,66 +205,344 @@ func scanStoreDir(dir string, pruneTmpAge time.Duration) ([]string, error) {
 		}
 		for _, f := range files {
 			fname := f.Name()
-			if pruneTmp(sub, f) || f.IsDir() {
+			if pruneTmp(sub, f) || f.IsDir() || filepath.Ext(fname) != ".json" {
 				continue
 			}
-			if filepath.Ext(fname) != ".json" {
-				continue
-			}
-			key := fname[:len(fname)-len(".json")]
-			if len(key) > 2 && key[:2] == name {
-				keys = append(keys, key)
+			if key := strings.TrimSuffix(fname, ".json"); diskKey(key) && key[:2] == name {
+				fn(key, f)
 			}
 		}
 	}
-	return keys, nil
+	return nil
 }
 
-// Len returns the number of distinct keys the store knows about: resident
-// in memory or recorded in a shard index. (Unlike Store.Len, this survives
-// a restart — the coordinator uses it for warm-start accounting.)
-func (s *ShardedStore) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += len(s.keysOf(sh))
+// get reads the memory tier, then the disk tier.
+func (sh *shard) get(key string) ([]byte, bool) {
+	var data []byte
+	var ok bool
+	if sh.s.hot != nil {
+		data, ok = sh.s.hot.get(key)
 	}
-	return n
-}
-
-// Keys returns every known key, sorted (memory ∪ index).
-func (s *ShardedStore) Keys() []string {
-	var keys []string
-	for _, sh := range s.shards {
-		for k := range s.keysOf(sh) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func (s *ShardedStore) keysOf(sh *shardStore) map[string]bool {
-	out := map[string]bool{}
 	sh.mu.Lock()
-	for k := range sh.known {
-		out[k] = true
+	if sh.mem != nil {
+		data, ok = sh.mem[key]
+	}
+	if ok {
+		sh.hits++
+		sh.touchLocked(key)
+		sh.mu.Unlock()
+		return data, true
 	}
 	sh.mu.Unlock()
-	sh.store.mu.RLock()
-	for k := range sh.store.mem {
-		out[k] = true
+	if sh.dir != "" && diskKey(key) {
+		if data, err := os.ReadFile(sh.path(key)); err == nil {
+			if sh.s.hot != nil {
+				sh.s.hot.put(key, data)
+			}
+			sh.mu.Lock()
+			if sh.mem != nil {
+				sh.memPutLocked(key, data)
+			}
+			sh.hits++
+			// An unbounded store discovering a prior process's entry
+			// starts tracking it here.
+			_, tracked := sh.disk[key]
+			sh.trackLocked(key, int64(len(data)))
+			sh.mu.Unlock()
+			if !tracked {
+				sh.publish()
+			}
+			return data, true
+		}
 	}
-	sh.store.mu.RUnlock()
-	return out
+	sh.mu.Lock()
+	sh.misses++
+	sh.mu.Unlock()
+	return nil, false
 }
 
-// Stats sums the cumulative hit/miss/put counters across shards.
-func (s *ShardedStore) Stats() (hits, misses, puts uint64) {
-	for _, sh := range s.shards {
-		h, m, p := sh.store.Stats()
-		hits += h
-		misses += m
-		puts += p
+// memPutLocked fills the unbounded memory tier, counting a key new to
+// the shard.
+func (sh *shard) memPutLocked(key string, data []byte) {
+	if _, ok := sh.mem[key]; !ok && !sh.indexed[key] {
+		sh.nkeys++
 	}
-	return hits, misses, puts
+	sh.mem[key] = data
+}
+
+// put stores data in the memory tier and, for a disk-backed shard,
+// writes it once (see ShardedStore.Put) and records it in keys.idx.
+func (sh *shard) put(key string, data []byte) error {
+	if sh.s.hot != nil {
+		sh.s.hot.put(key, data)
+	}
+	sh.mu.Lock()
+	if sh.mem != nil {
+		sh.memPutLocked(key, data)
+	}
+	sh.puts++
+	if sh.dir == "" || !diskKey(key) {
+		sh.mu.Unlock()
+		return nil
+	}
+	if _, ok := sh.disk[key]; ok || sh.writing[key] {
+		// Already durable (or another goroutine is making it so, and
+		// will index it).
+		sh.touchLocked(key)
+		sh.putNoops++
+		sh.mu.Unlock()
+		cStorePutNoops.Inc()
+		if ok {
+			sh.index(key)
+		}
+		return nil
+	}
+	if sh.maxBytes > 0 && int64(len(data)) > sh.maxBytes && !sh.s.pins.Pinned(key) {
+		// The value alone exceeds this tier's cap: banking it would
+		// evict every peer in the shard and the value would still have
+		// to go — a whole shard of cache destroyed for nothing. Refuse
+		// it up front (it stays in the memory tier for this process and
+		// recomputes like any evicted key); a *pinned* oversized value
+		// is banked regardless, holding the store over cap exactly as a
+		// pinned eviction survivor would (Occupancy/readyz report it).
+		sh.evictions++
+		sh.mu.Unlock()
+		cStoreEvictions.Add(1)
+		return nil
+	}
+	sh.writing[key] = true
+	sh.mu.Unlock()
+
+	p := sh.path(key)
+	size := int64(len(data))
+	// An unbounded store does not scan at open, so a prior process's
+	// entry surfaces here: one Stat instead of a rewrite.
+	fi, werr := os.Stat(p)
+	wrote := werr != nil
+	if wrote {
+		if werr = os.MkdirAll(filepath.Dir(p), 0o755); werr == nil {
+			werr = writeFileAtomic(p, data)
+		}
+	} else {
+		size = fi.Size()
+	}
+	sh.mu.Lock()
+	delete(sh.writing, key)
+	var victims []string
+	if werr == nil {
+		sh.trackLocked(key, size)
+		if wrote {
+			sh.diskWrites++
+			victims = sh.evictLocked()
+		} else {
+			sh.putNoops++
+		}
+	}
+	sh.mu.Unlock()
+	if werr != nil {
+		return fmt.Errorf("campaign: store put: %w", werr)
+	}
+	if wrote {
+		cStoreDiskWrites.Inc()
+	} else {
+		cStorePutNoops.Inc()
+	}
+	sh.index(key)
+	sh.forget(victims)
+	return nil
+}
+
+// index appends key to keys.idx unless it is already recorded. Best
+// effort: the value is already durable; a lost index line only costs
+// enumeration, never a wrong Get.
+func (sh *shard) index(key string) {
+	sh.mu.RLock()
+	done := sh.indexed[key]
+	sh.mu.RUnlock()
+	if done {
+		return
+	}
+	sh.idxMu.Lock()
+	defer sh.publish()
+	defer sh.idxMu.Unlock()
+	sh.mu.RLock()
+	done = sh.indexed[key]
+	sh.mu.RUnlock()
+	if done {
+		return
+	}
+	f, err := os.OpenFile(sh.idxPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return
+	}
+	_, err = f.WriteString(key + "\n")
+	f.Close()
+	if err == nil {
+		sh.mu.Lock()
+		sh.indexed[key] = true
+		if _, ok := sh.mem[key]; !ok {
+			sh.nkeys++
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// trackLocked records key as on disk with the given size, moving it to
+// the hot end.
+func (sh *shard) trackLocked(key string, size int64) {
+	if e, ok := sh.disk[key]; ok {
+		sh.lru.MoveToFront(e)
+		ent := e.Value.(*diskEnt)
+		sh.diskBytes += size - ent.size
+		sh.s.diskBytes.Add(size - ent.size)
+		ent.size = size
+		return
+	}
+	sh.disk[key] = sh.lru.PushFront(&diskEnt{key: key, size: size})
+	sh.diskBytes += size
+	sh.s.diskBytes.Add(size)
+	sh.s.diskKeys.Add(1)
+}
+
+// touchLocked marks key most-recently-used.
+func (sh *shard) touchLocked(key string) {
+	if e, ok := sh.disk[key]; ok {
+		sh.lru.MoveToFront(e)
+	}
+}
+
+// evictLocked removes least-recently-used unpinned entries until the
+// disk tier fits its cap, returning the evicted keys (the caller runs
+// forget outside the lock). Pinned entries are skipped in place — a
+// clock-style pass — so a store whose pinned bytes exceed the cap simply
+// stays over it (and reports so through Occupancy/readyz) rather than
+// evicting a snapshot a live campaign depends on. File removal happens
+// inside the lock-held walk but is a plain unlink (no fsync); a
+// concurrent Get racing the unlink either reads the full old bytes or
+// misses — both correct.
+func (sh *shard) evictLocked() []string {
+	if sh.maxBytes <= 0 || sh.diskBytes <= sh.maxBytes {
+		return nil
+	}
+	var victims []string
+	for e := sh.lru.Back(); e != nil && sh.diskBytes > sh.maxBytes; {
+		ent := e.Value.(*diskEnt)
+		prev := e.Prev()
+		if sh.s.pins.Pinned(ent.key) {
+			e = prev
+			continue
+		}
+		os.Remove(sh.path(ent.key))
+		sh.lru.Remove(e)
+		delete(sh.disk, ent.key)
+		sh.diskBytes -= ent.size
+		sh.s.diskBytes.Add(-ent.size)
+		sh.s.diskKeys.Add(-1)
+		sh.evictions++
+		victims = append(victims, ent.key)
+		e = prev
+	}
+	cStoreEvictions.Add(uint64(len(victims)))
+	return victims
+}
+
+// forget runs after an eviction, outside mu: the hot cache drops its
+// copy (evicted ⇒ the next Get recomputes, crisply) and the key set
+// forgets the key; keys.idx on disk catches up at the next compaction.
+func (sh *shard) forget(victims []string) {
+	if len(victims) == 0 {
+		return
+	}
+	sh.idxMu.Lock()
+	sh.mu.Lock()
+	for _, key := range victims {
+		sh.s.hot.drop(key)
+		if sh.indexed[key] {
+			delete(sh.indexed, key)
+			sh.nkeys--
+		}
+	}
+	sh.mu.Unlock()
+	sh.idxMu.Unlock()
+	sh.publish()
+}
+
+// publish refreshes the shard's key-count gauge and the store-wide disk
+// occupancy gauges. Memory-only shards publish nothing.
+func (sh *shard) publish() {
+	if sh.gauge == nil {
+		return
+	}
+	sh.mu.RLock()
+	n := sh.nkeys
+	sh.mu.RUnlock()
+	sh.gauge.Set(float64(n))
+	gStoreDiskBytes.Set(float64(sh.s.diskBytes.Load()))
+	gStoreDiskKeys.Set(float64(sh.s.diskKeys.Load()))
+}
+
+// compact rewrites keys.idx down to the live value files (see
+// ShardedStore.Compact).
+func (sh *shard) compact() error {
+	if sh.dir == "" {
+		return nil
+	}
+	live := map[string]bool{}
+	if err := walkShard(sh.dir, time.Minute, func(key string, _ os.DirEntry) { live[key] = true }); err != nil {
+		return err
+	}
+	sh.idxMu.Lock()
+	defer sh.idxMu.Unlock()
+	// Keys indexed between the walk and here are not in the walk; confirm
+	// their file and keep them, so compaction never drops a fresh write
+	// from the index.
+	var fresh []string
+	sh.mu.RLock()
+	for k := range sh.indexed {
+		if !live[k] {
+			fresh = append(fresh, k)
+		}
+	}
+	sh.mu.RUnlock()
+	for _, k := range fresh {
+		if _, err := os.Stat(sh.path(k)); err == nil {
+			live[k] = true
+		}
+	}
+	if sh.s.hot != nil {
+		// A bounded shard's disk map is ground truth: drop anything
+		// evicted after the walk saw its file.
+		sh.mu.RLock()
+		for k := range live {
+			if _, ok := sh.disk[k]; !ok {
+				delete(live, k)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	keys := make([]string, 0, len(live))
+	for k := range live {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		b.WriteString(k)
+		b.WriteByte('\n')
+	}
+	if err := writeFileAtomic(sh.idxPath, []byte(b.String())); err != nil {
+		return err
+	}
+	sh.mu.Lock()
+	sh.indexed = live
+	sh.nkeys = len(live)
+	for k := range sh.mem {
+		if !live[k] {
+			sh.nkeys++
+		}
+	}
+	sh.mu.Unlock()
+	cStoreCompactions.Inc()
+	sh.publish()
+	return nil
 }

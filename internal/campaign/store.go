@@ -1,462 +1,272 @@
 package campaign
 
 import (
-	"container/list"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Store is the content-addressed result store: canonical result bytes keyed
-// by job content hash. Reads hit an in-memory tier first, then (when the
-// store was opened with a directory) an on-disk tier laid out as
-// dir/<key[:2]>/<key>.json — the two-character fan-out keeps directories
-// small for hundred-thousand-job campaigns. The disk tier is what makes a
-// warm re-run of a campaign across process restarts perform zero fresh
-// simulations.
+// ShardedStore is the content-addressed result store: canonical result
+// bytes keyed by job content hash. Reads hit a memory tier first, then
+// (when the store was opened with a directory) an on-disk tier, which is
+// what makes a warm re-run of a campaign across process restarts perform
+// zero fresh simulations. Without a directory the store is memory-only
+// (NewMemStore).
 //
-// Opened with a StoreConfig the store is production-bounded: the disk
-// tier holds at most MaxBytes of value bytes, evicting least-recently-
-// used unpinned entries (the whole file — an entry is always either
-// fully present or absent), and the memory tier becomes a byte-bounded
-// hot cache instead of an unbounded map. Eviction is safe by
-// construction: a content-addressed entry can only be absent (forcing a
-// recomputation that produces the identical bytes) or byte-for-byte
-// correct, never stale or torn (DESIGN.md invariant 11). Pinned keys —
-// see PinLedger — are skipped by eviction, which is how trained-agent
-// snapshots referenced by live campaigns survive any pressure.
-type Store struct {
-	mu  sync.RWMutex
-	mem map[string][]byte // unbounded memory tier (nil when hot is set)
-	hot *hotCache         // bounded memory tier (may be shared across shards)
-	dir string
+// Keys partition into power-of-two shards selected by key prefix:
+// shard(key) = first 8 bits of the (hex) key, masked to the shard count.
+// Every shard has its own lock and its own directory, so N workers (or N
+// coordinator goroutines draining worker results) writing concurrently
+// contend only when their keys land in the same shard. Keys are SHA-256
+// hex, so the prefix is uniformly distributed and the shards stay
+// balanced without any placement logic. A one-shard store is the plain
+// single-lock store.
+//
+// There is one on-disk layout:
+//
+//	INDEX.json                  {"version":1,"shards":N} — pins the shard count
+//	shard-00/<key[:2]>/<key>.json  shard 0's values, fanned out by key prefix
+//	shard-00/keys.idx           append-only key index, one key per line
+//	shard-01/…                  …
+//
+// The per-shard keys.idx is appended after every disk Put (the value
+// write is fsync+rename crash-safe first; the index line is best effort).
+// It lets a reopened store enumerate what it holds (Keys, Len) without
+// statting hundreds of thousands of files, which is what the coordinator
+// uses to skip leasing cells that any previous run already produced. A
+// missing or truncated index line only costs enumeration: Get still falls
+// through to the disk tier by path, so correctness never depends on the
+// index. An eviction leaves its index line behind on disk (the in-memory
+// key set forgets immediately); compaction — Compact / StartCompactor —
+// rewrites keys.idx down to the live keys with the same
+// atomic write discipline as values.
+//
+// The shard count is part of the layout: reopening a directory with a
+// different non-zero count is an error rather than a silent cache miss on
+// every key, and a count of 0 adopts the manifest's. A directory that has
+// entries but no INDEX.json is refused — a cache written before the single
+// layout, or a mistyped -cache — instead of being opened as an empty store.
+//
+// Opened with NewShardedStoreWith and a StoreConfig, the store is
+// bounded: the MaxBytes cap splits evenly across shards (uniform keys keep
+// the split fair), each shard evicts LRU-unpinned entries independently
+// under its own lock, and one shared hot cache plus one shared pin ledger
+// front the whole store — see bounded.go.
+type ShardedStore struct {
+	dir    string
+	mask   uint8
+	hot    *hotCache  // bounded memory tier shared by all shards; nil when unbounded
+	pins   *PinLedger // shared by all shards: a pin protects a key wherever it lands
+	shards []*shard
 
-	pins *PinLedger // never nil; shards share the parent store's
-
-	// Disk-tier accounting (dir != ""). disk maps every key known to be
-	// on disk to its LRU element; for unbounded stores it fills lazily
-	// (Put, Get disk hits, Stat probes), for bounded ones it is seeded
-	// by a full scan at open so the cap holds across restarts.
-	maxBytes  int64
-	diskBytes int64
-	disk      map[string]*list.Element
-	lru       *list.List      // front = most recently used; values are *diskEnt
-	writing   map[string]bool // keys with a value write in flight (dedup without holding mu across fsync)
-
-	// onEvict, when set, observes every disk-tier eviction after the file
-	// is removed; the sharded store uses it to keep its key index honest.
-	onEvict func(key string)
-
-	// publish marks a standalone disk store that owns the store-wide
-	// occupancy gauges; shards leave it false (their parent publishes the
-	// summed view from noteOccupancy instead).
-	publish bool
-
-	hits, misses, puts   uint64
-	diskWrites, putNoops uint64
-	evictions            uint64
+	// Disk-tier occupancy summed over shards, behind the store-wide gauges.
+	diskBytes, diskKeys atomic.Int64
 }
 
-type diskEnt struct {
-	key  string
-	size int64
+type shardManifest struct {
+	Version int `json:"version"`
+	Shards  int `json:"shards"`
 }
 
-// NewMemStore builds a memory-only store.
-func NewMemStore() *Store {
-	return &Store{mem: map[string][]byte{}, pins: NewPinLedger()}
+const shardManifestName = "INDEX.json"
+
+// NewMemStore builds a memory-only one-shard store.
+func NewMemStore() *ShardedStore {
+	s, _ := NewShardedStore("", 1) // no directory, no caps: nothing can fail
+	return s
 }
 
-// NewStore builds an unbounded store backed by dir (created if missing);
-// an empty dir means memory-only. A directory holding a *sharded* layout
-// is refused: opening it flat would miss every stored key, silently
-// invalidating the whole cache — the caller should reopen with
-// NewShardedStore (-shards).
-func NewStore(dir string) (*Store, error) {
-	return NewStoreWith(dir, StoreConfig{})
+// NewShardedStore opens (or creates) an unbounded store under dir. shards
+// is snapped up to a power of two (max 256); 0 means the count recorded
+// in dir's INDEX.json, or 1 for a fresh directory. An empty dir builds a
+// memory-only store.
+func NewShardedStore(dir string, shards int) (*ShardedStore, error) {
+	return NewShardedStoreWith(dir, shards, StoreConfig{})
 }
 
-// NewStoreWith is NewStore with byte caps. Caps require a disk tier: a
+// OpenStore opens the store under dir with whatever shard count it was
+// created with (NewShardedStore(dir, 0)). Read-side tools — the journal
+// replay audit — use it so the operator needn't remember the -shards
+// value a coordinator was launched with. The store opens unbounded: an
+// audit must never evict the evidence.
+func OpenStore(dir string) (*ShardedStore, error) {
+	return NewShardedStore(dir, 0)
+}
+
+// NewShardedStoreWith is NewShardedStore with byte caps (see StoreConfig):
+// the disk cap splits evenly across shards, the hot cache and the pin
+// ledger are shared by all of them. Caps require a disk tier: a
 // memory-only store's map is authoritative storage, and evicting from it
 // would lose results rather than spill them.
-func NewStoreWith(dir string, cfg StoreConfig) (*Store, error) {
-	var hot *hotCache
-	if cfg.bounded() {
-		hot = newHotCache(cfg.effHotBytes())
+func NewShardedStoreWith(dir string, shards int, cfg StoreConfig) (*ShardedStore, error) {
+	if cfg.MaxBytes < 0 || cfg.HotBytes < 0 {
+		return nil, fmt.Errorf("campaign: store caps must not be negative (max %d, hot %d bytes)", cfg.MaxBytes, cfg.HotBytes)
 	}
-	return newStoreTier(dir, cfg, hot, nil)
-}
-
-// newStoreTier is the shared constructor: a standalone store owns its
-// hot cache and pin ledger; a shard receives both from its parent so one
-// cache fronts all shards and one pin protects a key wherever it lands.
-func newStoreTier(dir string, cfg StoreConfig, hot *hotCache, pins *PinLedger) (*Store, error) {
 	if dir == "" && cfg.bounded() {
 		return nil, fmt.Errorf("campaign: store caps need a disk tier (-cache); a memory-only store cannot evict without losing results")
 	}
-	s := NewMemStore()
-	if pins != nil {
-		s.pins = pins
+	n, err := openLayout(dir, shards)
+	if err != nil {
+		return nil, err
 	}
-	if dir == "" {
-		return s, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: store dir: %w", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, shardManifestName)); err == nil {
-		return nil, fmt.Errorf("campaign: %s holds a sharded store (%s present); reopen it with the same -shards value it was created with", dir, shardManifestName)
-	}
-	s.dir = dir
-	s.disk = map[string]*list.Element{}
-	s.lru = list.New()
-	s.writing = map[string]bool{}
-	s.publish = pins == nil
+	s := &ShardedStore{dir: dir, mask: uint8(n - 1), pins: NewPinLedger(), shards: make([]*shard, n)}
 	if cfg.bounded() {
-		s.maxBytes = cfg.MaxBytes
-		s.mem = nil
-		s.hot = hot
-		if err := s.loadDiskTier(); err != nil {
+		s.hot = newHotCache(cfg.effHotBytes())
+	}
+	shardCap := cfg.MaxBytes / int64(n)
+	if cfg.MaxBytes > 0 && shardCap == 0 {
+		shardCap = 1 // a cap below one byte per shard still bounds, never unbounds
+	}
+	for i := range s.shards {
+		sh, err := s.openShard(i, shardCap)
+		if err != nil {
 			return nil, err
 		}
+		s.shards[i] = sh
+		sh.publish()
 	}
 	return s, nil
 }
 
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".json")
-}
-
-// loadDiskTier seeds the disk-tier accounting from the files already
-// present: every <2-hex>/<key>.json under dir, ordered oldest-modified
-// first so the LRU starts with a sensible cold end. Bounded stores need
-// this at open — the cap must hold over what a previous process wrote —
-// and it immediately evicts down to the cap if the directory arrives
-// over it (a cap lowered between runs).
-func (s *Store) loadDiskTier() error {
-	type onDisk struct {
-		key   string
-		size  int64
-		mtime time.Time
+// openLayout resolves the shard count of the store under dir: the
+// manifest's when one exists (a non-zero request must match it), else
+// the request snapped up to a power of two (0 = 1), recorded in a fresh
+// manifest.
+func openLayout(dir string, shards int) (int, error) {
+	n := 1
+	for n < shards {
+		n <<= 1
 	}
-	var found []onDisk
-	entries, err := os.ReadDir(s.dir)
+	if shards < 0 || n > 256 {
+		return 0, fmt.Errorf("campaign: store: %d shards is outside [0, 256] (one key byte)", shards)
+	}
+	if dir == "" {
+		return n, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, fmt.Errorf("campaign: store dir: %w", err)
+	}
+	mpath := filepath.Join(dir, shardManifestName)
+	data, err := os.ReadFile(mpath)
+	if err == nil {
+		var m shardManifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			return 0, fmt.Errorf("campaign: store %s: corrupt %s: %w", dir, shardManifestName, err)
+		}
+		if m.Version != 1 || m.Shards < 1 || m.Shards > 256 || m.Shards&(m.Shards-1) != 0 {
+			return 0, fmt.Errorf("campaign: store %s: %s records version %d with %d shards; want version 1 and a power of two in [1, 256]", dir, shardManifestName, m.Version, m.Shards)
+		}
+		if shards > 0 && m.Shards != n {
+			return 0, fmt.Errorf("campaign: store %s was created with %d shards, reopened with %d — shard count is part of the layout (-shards 0 adopts it)", dir, m.Shards, n)
+		}
+		return m.Shards, nil
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return 0, fmt.Errorf("campaign: store %s: %w", dir, err)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("campaign: store scan: %w", err)
+		return 0, fmt.Errorf("campaign: store dir: %w", err)
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() || len(name) != 2 {
-			continue
-		}
-		if _, err := strconv.ParseUint(name, 16, 8); err != nil {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, name))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			fname := f.Name()
-			if f.IsDir() || filepath.Ext(fname) != ".json" {
-				continue
-			}
-			key := fname[:len(fname)-len(".json")]
-			if len(key) <= 2 || key[:2] != name {
-				continue
-			}
-			fi, err := f.Info()
-			if err != nil {
-				continue
-			}
-			found = append(found, onDisk{key: key, size: fi.Size(), mtime: fi.ModTime()})
+		// A crash while creating the manifest leaves only its temp file.
+		if !strings.HasPrefix(e.Name(), ".tmp") {
+			return 0, fmt.Errorf("campaign: %s is not a result store: it holds %q but no %s (a cache from before the single sharded layout, or the wrong directory); point -cache at a fresh directory", dir, e.Name(), shardManifestName)
 		}
 	}
-	// Oldest first, so the first PushFront calls land at the cold end.
-	for i := 0; i < len(found); i++ {
-		for j := i + 1; j < len(found); j++ {
-			if found[j].mtime.Before(found[i].mtime) {
-				found[i], found[j] = found[j], found[i]
-			}
-		}
+	// Atomic like every other write in this subsystem: a crash mid-creation
+	// must not leave a torn manifest that bricks the directory.
+	data, _ = json.Marshal(shardManifest{Version: 1, Shards: n})
+	if err := writeFileAtomic(mpath, data); err != nil {
+		return 0, fmt.Errorf("campaign: store manifest: %w", err)
 	}
-	s.mu.Lock()
-	for _, f := range found {
-		s.trackLocked(f.key, f.size)
-	}
-	victims := s.evictLocked()
-	s.publishLocked()
-	s.mu.Unlock()
-	s.notifyEvicted(victims)
-	return nil
+	return n, nil
 }
 
-// memGet reads the memory tier (whichever kind is configured).
-func (s *Store) memGet(key string) ([]byte, bool) {
-	if s.hot != nil {
-		return s.hot.get(key)
+func (s *ShardedStore) shard(key string) *shard {
+	if len(key) < 2 {
+		return s.shards[0]
 	}
-	s.mu.RLock()
-	data, ok := s.mem[key]
-	s.mu.RUnlock()
+	b, err := strconv.ParseUint(key[:2], 16, 8)
+	if err != nil {
+		return s.shards[0]
+	}
+	return s.shards[uint8(b)&s.mask]
+}
+
+// Get returns the stored canonical bytes for key, if present in the
+// memory tier or on disk.
+func (s *ShardedStore) Get(key string) ([]byte, bool) {
+	start := time.Now()
+	defer func() { hStoreGet.Observe(time.Since(start).Seconds()) }()
+	data, ok := s.shard(key).get(key)
+	if ok {
+		cStoreHits.Inc()
+	} else {
+		cStoreMisses.Inc()
+	}
 	return data, ok
 }
 
-// memPut fills the memory tier.
-func (s *Store) memPut(key string, data []byte) {
-	if s.hot != nil {
-		s.hot.put(key, data)
-		return
-	}
-	s.mu.Lock()
-	s.mem[key] = data
-	s.mu.Unlock()
-}
-
-// Get returns the stored canonical result bytes for key, if present.
-func (s *Store) Get(key string) ([]byte, bool) {
-	start := time.Now()
-	defer func() { hStoreGet.Observe(time.Since(start).Seconds()) }()
-	if data, ok := s.memGet(key); ok {
-		s.mu.Lock()
-		s.hits++
-		if s.disk != nil {
-			s.touchLocked(key)
-		}
-		s.mu.Unlock()
-		cStoreHits.Inc()
-		return data, true
-	}
-	if s.dir != "" && len(key) > 2 {
-		if data, err := os.ReadFile(s.path(key)); err == nil {
-			s.memPut(key, data)
-			s.mu.Lock()
-			s.hits++
-			if _, tracked := s.disk[key]; tracked {
-				s.touchLocked(key)
-			} else {
-				// An unbounded store discovering a prior process's entry.
-				s.trackLocked(key, int64(len(data)))
-				s.publishLocked()
-			}
-			s.mu.Unlock()
-			cStoreHits.Inc()
-			return data, true
-		}
-	}
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
-	cStoreMisses.Inc()
-	return nil, false
-}
-
-// Put stores canonical result bytes under key in memory and, when
-// configured, on disk. The disk write (writeFileAtomic) is crash-safe: the
-// bytes are written to a temporary file which is fsynced *before* the
-// atomic rename, and the containing directory is fsynced after, so a
-// killed or power-cut run can never leave a visible-but-truncated entry.
-// (Rename-without-fsync can be reordered by the filesystem so the name
-// appears before the data blocks; a truncated-but-parseable JSON prefix
-// would then poison warm-cache determinism, which trusts stored bytes as
-// canonical.)
+// Put stores canonical result bytes under key in memory and, when the
+// store has a directory, on disk. The disk write (writeFileAtomic) is
+// crash-safe: the bytes are written to a temporary file which is fsynced
+// *before* the atomic rename, and the containing directory is fsynced
+// after, so a killed or power-cut run can never leave a visible-but-
+// truncated entry. (Rename-without-fsync can be reordered by the
+// filesystem so the name appears before the data blocks; a truncated-but-
+// parseable JSON prefix would then poison warm-cache determinism, which
+// trusts stored bytes as canonical.)
 //
 // A Put of a key already on disk is a no-op on the disk tier: the store
 // is content-addressed, so same key ⇒ same bytes, and rewriting them
 // would only churn a temp file, an fsync and a rename for nothing. One
 // unique key costs exactly one disk write (TestStorePutSingleDiskWrite),
 // and the skip counts into astro_store_put_noops_total.
-func (s *Store) Put(key string, data []byte) error {
+func (s *ShardedStore) Put(key string, data []byte) error {
 	start := time.Now()
 	defer func() { hStorePut.Observe(time.Since(start).Seconds()) }()
 	cStorePuts.Inc()
-	s.memPut(key, data)
-	s.mu.Lock()
-	s.puts++
-	if s.dir == "" || len(key) <= 2 {
-		s.mu.Unlock()
-		return nil
-	}
-	if _, ok := s.disk[key]; ok || s.writing[key] {
-		// Already durable (or another goroutine is making it so).
-		if ok {
-			s.touchLocked(key)
-		}
-		s.putNoops++
-		s.mu.Unlock()
-		cStorePutNoops.Inc()
-		return nil
-	}
-	if s.maxBytes > 0 && int64(len(data)) > s.maxBytes && !s.pins.Pinned(key) {
-		// The value alone exceeds this tier's cap: banking it would
-		// evict every peer in the shard and the value would still have
-		// to go — a whole shard of cache destroyed for nothing. Refuse
-		// it up front (it stays in the memory tier for this process and
-		// recomputes like any evicted key); a *pinned* oversized value
-		// is banked regardless, holding the store over cap exactly as a
-		// pinned eviction survivor would (Occupancy/readyz report it).
-		s.evictions++
-		s.mu.Unlock()
-		cStoreEvictions.Add(1)
-		return nil
-	}
-	s.writing[key] = true
-	s.mu.Unlock()
-
-	p := s.path(key)
-	// An unbounded store does not scan at open, so a prior process's
-	// entry surfaces here: one Stat instead of a rewrite.
-	if fi, err := os.Stat(p); err == nil {
-		s.mu.Lock()
-		delete(s.writing, key)
-		s.trackLocked(key, fi.Size())
-		s.putNoops++
-		s.publishLocked()
-		s.mu.Unlock()
-		cStorePutNoops.Inc()
-		return nil
-	}
-	var werr error
-	if werr = os.MkdirAll(filepath.Dir(p), 0o755); werr == nil {
-		werr = writeFileAtomic(p, data)
-	}
-	s.mu.Lock()
-	delete(s.writing, key)
-	var victims []string
-	if werr == nil {
-		s.diskWrites++
-		s.trackLocked(key, int64(len(data)))
-		victims = s.evictLocked()
-		s.publishLocked()
-	}
-	s.mu.Unlock()
-	if werr != nil {
-		return fmt.Errorf("campaign: store put: %w", werr)
-	}
-	cStoreDiskWrites.Inc()
-	s.notifyEvicted(victims)
-	return nil
+	return s.shard(key).put(key, data)
 }
 
-// trackLocked records key as on-disk with the given size (moving it to
-// the hot end if already tracked) and publishes the occupancy gauges.
-func (s *Store) trackLocked(key string, size int64) {
-	if e, ok := s.disk[key]; ok {
-		s.lru.MoveToFront(e)
-		ent := e.Value.(*diskEnt)
-		s.diskBytes += size - ent.size
-		ent.size = size
-		return
-	}
-	s.disk[key] = s.lru.PushFront(&diskEnt{key: key, size: size})
-	s.diskBytes += size
-}
+// Pin and Unpin implement PinStore on the ledger every shard's eviction
+// consults: a pinned key is never evicted, whichever shard holds it.
+func (s *ShardedStore) Pin(key string)   { s.pins.Pin(key) }
+func (s *ShardedStore) Unpin(key string) { s.pins.Unpin(key) }
 
-// publishLocked refreshes the store-wide occupancy gauges (standalone
-// disk stores only; a sharded store publishes its summed view itself).
-func (s *Store) publishLocked() {
-	if !s.publish {
-		return
-	}
-	gStoreDiskBytes.Set(float64(s.diskBytes))
-	gStoreDiskKeys.Set(float64(len(s.disk)))
-}
-
-// diskUsage reports the disk tier's current bytes and key count.
-func (s *Store) diskUsage() (bytes int64, keys int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.diskBytes, len(s.disk)
-}
-
-// diskKeys returns the keys currently tracked on disk. For bounded
-// stores this is exact (seeded by the open-time scan); the sharded store
-// rebuilds its per-shard index from it.
-func (s *Store) diskKeys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.disk))
-	for k := range s.disk {
-		out = append(out, k)
-	}
-	return out
-}
-
-// touchLocked marks key most-recently-used.
-func (s *Store) touchLocked(key string) {
-	if e, ok := s.disk[key]; ok {
-		s.lru.MoveToFront(e)
-	}
-}
-
-// evictLocked removes least-recently-used unpinned entries until the
-// disk tier fits its cap, returning the evicted keys (the caller runs
-// onEvict outside the lock). Pinned entries are skipped in place — a
-// clock-style pass — so a store whose pinned bytes exceed the cap simply
-// stays over it (and reports so through Occupancy/readyz) rather than
-// evicting a snapshot a live campaign depends on. File removal happens
-// inside the lock-held walk but is a plain unlink (no fsync); a
-// concurrent Get racing the unlink either reads the full old bytes or
-// misses — both correct.
-func (s *Store) evictLocked() []string {
-	if s.maxBytes <= 0 || s.diskBytes <= s.maxBytes {
-		return nil
-	}
-	var victims []string
-	for e := s.lru.Back(); e != nil && s.diskBytes > s.maxBytes; {
-		ent := e.Value.(*diskEnt)
-		prev := e.Prev()
-		if s.pins.Pinned(ent.key) {
-			e = prev
-			continue
-		}
-		os.Remove(s.path(ent.key))
-		s.lru.Remove(e)
-		delete(s.disk, ent.key)
-		s.diskBytes -= ent.size
-		s.evictions++
-		victims = append(victims, ent.key)
-		e = prev
-	}
-	cStoreEvictions.Add(uint64(len(victims)))
-	return victims
-}
-
-// notifyEvicted runs the eviction observers outside s.mu: the hot cache
-// drops its copy (evicted ⇒ the next Get recomputes, crisply) and the
-// sharded store prunes its key index.
-func (s *Store) notifyEvicted(keys []string) {
-	for _, key := range keys {
-		if s.hot != nil {
-			s.hot.drop(key)
-		}
-		if s.onEvict != nil {
-			s.onEvict(key)
-		}
-	}
-}
-
-// Occupancy snapshots the disk-tier accounting (Occupant interface).
-func (s *Store) Occupancy() Occupancy {
-	s.mu.RLock()
-	occ := Occupancy{
-		DiskBytes:  s.diskBytes,
-		CapBytes:   s.maxBytes,
-		DiskKeys:   len(s.disk),
-		DiskWrites: s.diskWrites,
-		PutNoops:   s.putNoops,
-		Evictions:  s.evictions,
+// Occupancy sums the per-shard disk accounting (Occupant interface). The
+// hot cache and the pin ledger are shared, so they are read once.
+func (s *ShardedStore) Occupancy() Occupancy {
+	var occ Occupancy
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		occ.DiskBytes += sh.diskBytes
+		occ.CapBytes += sh.maxBytes
+		occ.DiskKeys += len(sh.disk)
+		occ.DiskWrites += sh.diskWrites
+		occ.PutNoops += sh.putNoops
+		occ.Evictions += sh.evictions
+		sh.mu.RUnlock()
 	}
 	for _, key := range s.pins.PinnedKeys() {
-		if e, ok := s.disk[key]; ok {
+		sh := s.shard(key)
+		sh.mu.RLock()
+		if e, ok := sh.disk[key]; ok {
 			occ.PinnedBytes += e.Value.(*diskEnt).size
 			occ.PinnedKeys++
 		}
+		sh.mu.RUnlock()
 	}
-	s.mu.RUnlock()
 	if s.hot != nil {
 		occ.HotBytes = s.hot.size()
 		occ.HotCapBytes = s.hot.max
@@ -464,14 +274,99 @@ func (s *Store) Occupancy() Occupancy {
 	return occ
 }
 
-// Pin and Unpin implement PinStore on the ledger this store consults
-// during eviction.
-func (s *Store) Pin(key string)   { s.pins.Pin(key) }
-func (s *Store) Unpin(key string) { s.pins.Unpin(key) }
+// Len returns the number of distinct keys the store knows about: resident
+// in memory or recorded in a shard index, so it survives a restart (the
+// coordinator uses it for warm-start accounting).
+func (s *ShardedStore) Len() int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		n += sh.nkeys
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// Keys returns every known key, sorted (memory ∪ index).
+func (s *ShardedStore) Keys() []string {
+	var keys []string
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for k := range sh.indexed {
+			keys = append(keys, k)
+		}
+		for k := range sh.mem {
+			if !sh.indexed[k] {
+				keys = append(keys, k)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Stats sums the cumulative hit/miss/put counters across shards.
+func (s *ShardedStore) Stats() (hits, misses, puts uint64) {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		hits += sh.hits
+		misses += sh.misses
+		puts += sh.puts
+		sh.mu.RUnlock()
+	}
+	return hits, misses, puts
+}
+
+// Compact rewrites every shard's keys.idx down to the keys whose value
+// files are actually live, and sweeps temp-file strays older than a
+// minute (failed writeFileAtomic leftovers; in-flight writes are far
+// faster), stopping at the first error. Each shard's walk runs without
+// any lock; the index swap holds only that shard's index mutex for an
+// atomic rewrite, so value reads and writes proceed throughout.
+// Crash-safety is the usual discipline: keys.idx is replaced via
+// temp-file + fsync + rename, so a crash mid-compaction leaves either the
+// old index or the new one, and a torn tail from a crash mid-*append* is
+// repaired by the next loadIndex (both pinned by tests).
+func (s *ShardedStore) Compact() error {
+	for i, sh := range s.shards {
+		if err := sh.compact(); err != nil {
+			return fmt.Errorf("campaign: compact shard %02x: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// StartCompactor compacts all shards on a background ticker, one full
+// pass per interval (<= 0 picks a minute). The returned stop is
+// idempotent; compaction errors are counted, never fatal — a failed
+// rewrite leaves the previous index in place.
+func (s *ShardedStore) StartCompactor(interval time.Duration) (stop func()) {
+	if interval <= 0 {
+		interval = time.Minute
+	}
+	done := make(chan struct{})
+	go func() {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				if err := s.Compact(); err != nil {
+					cStoreCompactErrors.Inc()
+				}
+			}
+		}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(done) }) }
+}
 
 // writeFileAtomic writes data via temp-file + fsync + rename + directory
 // sync — the one crash-safety discipline shared by result values, the
-// sharded store's manifest, and compaction's keys.idx rewrite.
+// store manifest, and compaction's keys.idx rewrite.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp*")
@@ -506,21 +401,4 @@ func syncDir(dir string) {
 	}
 	d.Sync()
 	d.Close()
-}
-
-// Len returns the number of results resident in the memory tier.
-func (s *Store) Len() int {
-	if s.hot != nil {
-		return s.hot.lenKeys()
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.mem)
-}
-
-// Stats returns cumulative hit/miss/put counters.
-func (s *Store) Stats() (hits, misses, puts uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.hits, s.misses, s.puts
 }

@@ -97,8 +97,10 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
+	// Count first: a snapshot sums the buckets and reads Count after, so
+	// its bucket total never exceeds the count.
 	h.count.Add(1)
+	h.buckets[i].Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
