@@ -27,7 +27,7 @@ func (l Level) String() string {
 
 // Cache is one set-associative LRU cache.
 type Cache struct {
-	sets      [][]line
+	sets      [][]line // a set is allocated on its first miss; nil until then
 	ways      int
 	lineShift uint
 	setMask   uint64
@@ -69,9 +69,6 @@ func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 		lineBytes >>= 1
 		c.lineShift++
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, 0, ways)
-	}
 	return c, nil
 }
 
@@ -101,6 +98,9 @@ func (c *Cache) Access(byteAddr uint64) bool {
 	}
 	c.misses++
 	// Install at front, evicting LRU (the last element) if full.
+	if set == nil {
+		set = make([]line, 0, c.ways)
+	}
 	if len(set) < c.ways {
 		set = append(set, line{})
 		c.sets[tag&c.setMask] = set

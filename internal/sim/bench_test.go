@@ -9,9 +9,9 @@ package sim
 // Regenerate the committed BENCH_*.json baseline (and gate the pinned
 // Minstr/s throughput metrics against the prior one) with:
 //
-//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload' -benchmem -benchtime 0.5s -count 3 ./internal/sim/
+//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine' -benchmem -benchtime 0.5s -count 3 ./internal/sim/
 //	 go test -run '^$' -bench 'BenchmarkObserve' -benchmem -benchtime 0.5s -count 3 ./internal/rl/) \
-//	  | go run ./cmd/astro-bench -o BENCH_6.json -prev BENCH_5.json -max-regress 15
+//	  | go run ./cmd/astro-bench -o BENCH_12.json -prev BENCH_11.json -max-regress 15
 
 import (
 	"testing"
@@ -183,6 +183,27 @@ func benchFig1Workloads(b *testing.B, legacy bool) {
 
 func BenchmarkFig1WorkloadFast(b *testing.B)   { benchFig1Workloads(b, false) }
 func BenchmarkFig1WorkloadLegacy(b *testing.B) { benchFig1Workloads(b, true) }
+
+// BenchmarkNewMachine measures machine construction alone — the fixed cost
+// every simulated cell pays before its first instruction — on the paper's
+// board with default Options, for a program already in the compile cache.
+// It is recorded in the BENCH trajectory (ns/op, B/op, allocs/op), not gated.
+func BenchmarkNewMachine(b *testing.B) {
+	mod, err := lang.Compile("bench", benchMemSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plat := hw.OdroidXU4()
+	if _, err := New(mod, plat, Options{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := New(mod, plat, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // TestSteadyStateBurstZeroAllocs pins the allocation discipline: once warm,
 // a scheduling quantum — burst execution, accounting, event push/pop —

@@ -18,7 +18,10 @@ import (
 // everything outside the burst loop is path-agnostic.
 func (m *Machine) runBurstFast(c *core, t *Thread, budget float64, bc *burstCtx) burstStatus {
 	prog := m.prog
-	mem := m.mem
+	// Memory is read through m.mem, never a local copy: growMem may
+	// reallocate it mid-burst (an access past the allocated prefix, or the
+	// callee's frame arrays in OpCall), and stores through a stale copy
+	// would be lost at the next burst boundary.
 	cycles, nInstr := bc.cycles, bc.instr
 	fp, acc, miss := bc.fp, bc.acc, bc.miss
 	// The core's per-class costs are loop constants; hoisting them into
@@ -212,12 +215,12 @@ loop:
 
 		case ir.OpLoadI, ir.OpLoadF:
 			addr := int64(regs[ci.a])
-			if addr < 0 || addr >= int64(len(mem)) {
+			if (addr < 0 || addr >= int64(len(m.mem))) && !m.growMem(addr) {
 				m.fail("load from invalid address %d in %s (thread %d)", addr, cf.fn.Name, t.ID)
 				status = stErr
 				break loop
 			}
-			regs[ci.dst] = mem[addr]
+			regs[ci.dst] = m.mem[addr]
 			acc++
 			var lat float64
 			switch c.hier.Access(uint64(addr) * 8) {
@@ -233,12 +236,12 @@ loop:
 			fpc++
 		case ir.OpStoreI, ir.OpStoreF:
 			addr := int64(regs[ci.a])
-			if addr < 0 || addr >= int64(len(mem)) {
+			if (addr < 0 || addr >= int64(len(m.mem))) && !m.growMem(addr) {
 				m.fail("store to invalid address %d in %s (thread %d)", addr, cf.fn.Name, t.ID)
 				status = stErr
 				break loop
 			}
-			mem[addr] = regs[ci.b]
+			m.mem[addr] = regs[ci.b]
 			acc++
 			var lat float64
 			switch c.hier.Access(uint64(addr) * 8) {
@@ -459,19 +462,19 @@ loop:
 			}
 			addr := int64(regs[ci.dst])
 			if ci.op == opLAddrLoad || ci.op == opGAddrLoad {
-				if addr < 0 || addr >= int64(len(mem)) {
+				if (addr < 0 || addr >= int64(len(m.mem))) && !m.growMem(addr) {
 					m.fail("load from invalid address %d in %s (thread %d)", addr, cf.fn.Name, t.ID)
 					status = stErr
 					break loop
 				}
-				regs[ci.c] = mem[addr]
+				regs[ci.c] = m.mem[addr]
 			} else {
-				if addr < 0 || addr >= int64(len(mem)) {
+				if (addr < 0 || addr >= int64(len(m.mem))) && !m.growMem(addr) {
 					m.fail("store to invalid address %d in %s (thread %d)", addr, cf.fn.Name, t.ID)
 					status = stErr
 					break loop
 				}
-				mem[addr] = regs[ci.c]
+				m.mem[addr] = regs[ci.c]
 			}
 			acc++
 			var lat float64

@@ -336,7 +336,7 @@ func (m *Machine) runBurst(c *core, t *Thread, budget float64, bc *burstCtx) bur
 
 		case ir.OpLoadI, ir.OpLoadF:
 			addr := int64(fr.regs[in.A])
-			if addr < 0 || addr >= int64(len(m.mem)) {
+			if (addr < 0 || addr >= int64(len(m.mem))) && !m.growMem(addr) {
 				m.fail("load from invalid address %d in %s (thread %d)", addr, fr.fn.Name, t.ID)
 				return stErr
 			}
@@ -345,7 +345,7 @@ func (m *Machine) runBurst(c *core, t *Thread, budget float64, bc *burstCtx) bur
 			fr.pc++
 		case ir.OpStoreI, ir.OpStoreF:
 			addr := int64(fr.regs[in.A])
-			if addr < 0 || addr >= int64(len(m.mem)) {
+			if (addr < 0 || addr >= int64(len(m.mem))) && !m.growMem(addr) {
 				m.fail("store to invalid address %d in %s (thread %d)", addr, fr.fn.Name, t.ID)
 				return stErr
 			}

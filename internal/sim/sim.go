@@ -37,6 +37,9 @@ type Options struct {
 	SampleS  float64 // power sample period (0 = sampling off)
 	MaxTimeS float64 // simulation time limit (default 300 s)
 
+	// MaxThreads × StackCells cells are reserved as address space behind
+	// the globals; the cells are allocated on first touch, so an unused
+	// stack costs nothing (see Machine.growMem).
 	MaxThreads int   // default 64
 	StackCells int64 // per-thread stack cells (default 16384)
 
@@ -44,7 +47,9 @@ type Options struct {
 	Actuator Actuator     // nil = no actuation (fixed config)
 	Hybrid   HybridPolicy // consulted by OpDetermineConf instrumentation
 
-	BoundsCheck   bool // array bounds checking (default on via New)
+	// BoundsCheck adds per-array index checks (default off). Loads and
+	// stores outside the address space fault either way.
+	BoundsCheck   bool
 	CaptureOutput bool
 	MaxOutput     int // default 10000 entries
 
@@ -146,7 +151,8 @@ type Machine struct {
 	prog *Program // precompiled fast-path code (nil with Options.LegacyInterp)
 	opts Options
 
-	mem      []uint64
+	mem      []uint64 // the allocated prefix of the address space
+	memCells int64    // logical size: globals plus every thread's stack
 	cores    []*core
 	l2       map[hw.CoreType]*cache.Cache
 	threads  []*Thread
@@ -266,8 +272,8 @@ func NewWithProgram(mod *ir.Module, plat *hw.Platform, opts Options, prog *Progr
 		l2:       map[hw.CoreType]*cache.Cache{},
 		rngState: uint64(opts.Seed)*2654435761 + 0x9E3779B97F4A7C15,
 	}
-	memCells := mod.GlobalCells() + int64(opts.MaxThreads)*opts.StackCells
-	m.mem = make([]uint64, memCells)
+	m.memCells = mod.GlobalCells() + int64(opts.MaxThreads)*opts.StackCells
+	m.mem = make([]uint64, mod.GlobalCells())
 	for ct, kb := range plat.L2KB {
 		m.l2[ct] = cache.MustNew(kb*1024, plat.L2Ways, plat.LineBytes)
 	}
@@ -308,6 +314,22 @@ func NewWithProgram(mod *ir.Module, plat *hw.Platform, opts Options, prog *Progr
 		m.opts.OS = &LeastLoaded{}
 	}
 	return m, nil
+}
+
+// growMem backs addr with allocated memory, zero-filling every new cell and
+// at least doubling the allocation so repeated growth stays amortized O(1).
+// It reports false, leaving memory alone, when addr lies outside the logical
+// address space [0, memCells) — the only addresses that fault. Every caller
+// inside a burst must reload its cached copy of m.mem afterwards.
+func (m *Machine) growMem(addr int64) bool {
+	if addr < 0 || addr >= m.memCells {
+		return false
+	}
+	if old := int64(len(m.mem)); addr >= old {
+		n := min(max(addr+1, 2*old), m.memCells)
+		m.mem = append(m.mem, make([]uint64, n-old)...)
+	}
+	return true
 }
 
 // Accessors used by OS policies, actuators and tests.

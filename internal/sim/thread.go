@@ -206,6 +206,7 @@ func (m *Machine) pushFramePrepared(t *Thread, fnIdx int, fn *ir.Function, regs 
 			return nil, fmt.Errorf("sim: stack overflow in thread %d calling %s (%d cells > %d)",
 				t.ID, fn.Name, t.sp-t.stackBase, m.opts.StackCells)
 		}
+		m.growMem(t.sp - 1) // always in range: the overflow check bounds t.sp
 		// Zero the freshly allocated frame arrays for determinism.
 		for i := fr.arrays[0]; i < t.sp; i++ {
 			m.mem[i] = 0
