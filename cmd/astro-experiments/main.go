@@ -168,10 +168,9 @@ func startCoordinator(addr string, ttl time.Duration, poolWorkers int, store cam
 	fmt.Fprintf(os.Stderr, "astro-experiments: coordinating workers on %s (lease TTL %v); point `astro worker -coordinator http://<host>%s` here\n",
 		ln.Addr(), ttl, addr)
 	return &campaign.RemoteRunner{
-		Queue:        q,
-		Store:        store,
-		Local:        campaign.Pool{Workers: poolWorkers, Store: store},
-		ShipPrograms: true,
+		Queue: q,
+		Store: store,
+		Local: campaign.Pool{Workers: poolWorkers, Store: store},
 	}, stop, nil
 }
 

@@ -53,7 +53,6 @@ func main() {
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "cap the on-disk result store; LRU-evicts unpinned entries past the cap (0 = unbounded; requires -cache)")
 	hotCacheBytes := flag.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap)")
 	remote := flag.Bool("remote", false, "execute campaigns on pull-based workers (`astro worker`) instead of in-process")
-	shipPrograms := flag.Bool("ship-programs", true, "attach compiled simulation programs to leased cells so warm workers skip recompilation (results are byte-identical either way)")
 	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "how long a worker holds a cell before it re-leases")
 	token := flag.String("token", "", "bearer token required on all /work endpoints (empty = open, trusted-network)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/")
@@ -87,10 +86,9 @@ func main() {
 	if *remote {
 		// The local pool stays as the fallback for non-wireable jobs.
 		runner = &campaign.RemoteRunner{
-			Queue:        queue,
-			Store:        store,
-			Local:        campaign.Pool{Workers: *jobs, Store: store},
-			ShipPrograms: *shipPrograms,
+			Queue: queue,
+			Store: store,
+			Local: campaign.Pool{Workers: *jobs, Store: store},
 		}
 		mode = "remote workers"
 	}

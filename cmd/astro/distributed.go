@@ -75,10 +75,9 @@ func startCluster(n, localWidth int, store campaign.ResultStore) (*cluster, erro
 		}()
 	}
 	c.runner = &campaign.RemoteRunner{
-		Queue:        q,
-		Store:        store,
-		Local:        campaign.Pool{Workers: localWidth, Store: store},
-		ShipPrograms: true,
+		Queue: q,
+		Store: store,
+		Local: campaign.Pool{Workers: localWidth, Store: store},
 	}
 	return c, nil
 }

@@ -41,7 +41,6 @@ func cmdWorker(args []string) error {
 	storeMaxBytes := fs.Int64("store-max-bytes", 0, "cap the local cache; LRU-evicts past the cap (0 = unbounded; requires -cache)")
 	hotCacheBytes := fs.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap)")
 	token := fs.String("token", "", "bearer token for the coordinator's /work endpoints")
-	ignorePrograms := fs.Bool("ignore-programs", false, "compile every cell locally, ignoring coordinator-shipped compiled programs (diagnostic; results are byte-identical either way)")
 	quiet := fs.Bool("q", false, "suppress per-cell progress on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,8 +68,6 @@ func cmdWorker(args []string) error {
 		Renew:       *renew,
 		Store:       store,
 		Token:       *token,
-
-		IgnorePrograms: *ignorePrograms,
 	}
 
 	// First signal: drain — finish and submit every held lease, then exit

@@ -100,15 +100,6 @@ type Job struct {
 	// store when the job leaves it nil.
 	Agents ResultStore
 
-	// Program optionally supplies the module's compiled program so Execute
-	// skips compilation (a worker decodes it from shipped bytes; see
-	// WireJob.Program). Like Agents it is runtime wiring, not identity —
-	// never hashed — and it is pure acceleration: a program compiled from
-	// this module produces byte-identical results to compiling in place
-	// (DESIGN.md invariant 12), and sim.NewWithProgram rejects one compiled
-	// from any other module. Ignored under Opts.LegacyInterp.
-	Program *sim.Program
-
 	// Exclusive serializes jobs sharing the same non-empty tag: jobs whose
 	// policies share mutable state (a DQN's inference scratch buffers, say)
 	// must not run concurrently with each other.
@@ -121,17 +112,6 @@ type Job struct {
 // ModuleHash returns the content hash of a module's IR encoding.
 func ModuleHash(m *ir.Module) string {
 	sum := sha256.Sum256(ir.Encode(m))
-	return hex.EncodeToString(sum[:])
-}
-
-// ProgramKey is the result-store address of a compiled program artifact:
-// a pure function of the module's content hash and the platform's
-// cost-table identity, the exact pair sim.DecodeProgram verifies before
-// accepting the bytes. Versioned separately from job keys — program
-// artifacts are cache, not results, and a compiler-generation bump
-// (sim.ProgramBytesCurrent) retires stale entries without touching them.
-func ProgramKey(modHash, costTableID string) string {
-	sum := sha256.Sum256([]byte("astro-program-v1\n" + modHash + "\n" + costTableID))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -325,7 +305,7 @@ func (j *Job) Execute() (*sim.Result, error) {
 			return nil, err
 		}
 	}
-	m, err := sim.NewWithProgram(j.Module, plat, opts, j.Program)
+	m, err := sim.New(j.Module, plat, opts)
 	if err != nil {
 		return nil, err
 	}

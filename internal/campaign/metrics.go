@@ -79,11 +79,6 @@ var (
 	cWDrains    = telemetry.Default.Counter("astro_worker_drains_total", "Drain transitions of this worker process (SIGTERM or Drain call).")
 	cWAbandoned = telemetry.Default.Counter("astro_worker_abandoned_total", "Cells abandoned without submission after the coordinator reported the lease lost.")
 	cWFaults    = telemetry.Default.Counter(`astro_faults_injected_total{site="worker"}`, "Injected faults fired, by site.")
-
-	// Compiled-program shipping (the bytecode tier crossing the wire).
-	cRProgShipped = telemetry.Default.Counter("astro_program_ships_total", "Compiled programs attached to outgoing wire cells by the coordinator.")
-	cWProgHits    = telemetry.Default.Counter("astro_worker_program_hits_total", "Shipped compiled programs decoded and used by this worker (recompilation skipped).")
-	cWProgRejects = telemetry.Default.Counter("astro_worker_program_rejects_total", "Shipped compiled programs this worker refused (stale, corrupt, or mismatched); the cell fell back to a local compile.")
 )
 
 // shardGauge returns the occupancy gauge for shard i of a sharded store.

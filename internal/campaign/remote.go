@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"astro/internal/hw"
 	"astro/internal/sim"
 )
 
@@ -48,57 +47,9 @@ type RemoteRunner struct {
 	Store ResultStore // shared result store, consulted before leasing
 	Local Pool        // fallback for non-wireable jobs (and everything, when Queue is nil)
 
-	// ShipPrograms attaches each simulation cell's compiled program (the
-	// canonical sim.EncodeProgram bytes, banked in Store under
-	// ProgramKey(moduleHash, costTableID)) to the outgoing WireJob, so warm
-	// workers skip recompilation. Strictly an optimization: the field is
-	// inert for cell identity, workers verify the bytes and fall back to
-	// compiling locally on any mismatch, and results are byte-identical
-	// either way (DESIGN.md invariant 12). Training cells never carry one.
+	// Deprecated: ShipPrograms is ignored. Workers compile the module of
+	// every cell they lease, exactly as the in-process Pool does.
 	ShipPrograms bool
-
-	// progMu serializes first-compile races per run; the store is the
-	// real cache, this just keeps a 24-cell sweep from compiling the same
-	// module on every enqueue before the first Put lands.
-	progMu    sync.Mutex
-	progCache map[string][]byte // ProgramKey → encoded bytes, this runner only
-}
-
-// programBytes returns the canonical compiled-program bytes for a job, from
-// (in order) the runner's in-process memo, the shared store, or a fresh
-// compile that is then banked in both. Any failure returns nil — shipping
-// is best effort, and a cell without bytes just compiles worker-side.
-func (r *RemoteRunner) programBytes(j *Job) []byte {
-	plat, err := hw.ByName(j.platformName())
-	if err != nil {
-		return nil
-	}
-	key := ProgramKey(j.moduleHash(), sim.CostTableID(plat))
-	r.progMu.Lock()
-	defer r.progMu.Unlock()
-	if data, ok := r.progCache[key]; ok {
-		return data
-	}
-	if r.Store != nil {
-		if data, ok := r.Store.Get(key); ok && sim.ProgramBytesCurrent(data) {
-			// Stale-generation artifacts fail the check and are recompiled
-			// below, overwriting the entry.
-			if r.progCache == nil {
-				r.progCache = map[string][]byte{}
-			}
-			r.progCache[key] = data
-			return data
-		}
-	}
-	data := sim.EncodeProgram(sim.CompiledProgram(j.Module), plat)
-	if r.progCache == nil {
-		r.progCache = map[string][]byte{}
-	}
-	r.progCache[key] = data
-	if r.Store != nil {
-		_ = r.Store.Put(key, data)
-	}
-	return data
 }
 
 // Run implements Runner.
@@ -169,12 +120,6 @@ func (r *RemoteRunner) Run(ctx context.Context, jobs []*Job, onProgress func(Pro
 			continue
 		}
 		wire.Campaign = CampaignIDFromContext(ctx) // trace annotation; inert
-		if r.ShipPrograms && !wire.Opts.LegacyInterp {
-			if data := r.programBytes(j); data != nil {
-				wire.Program = data // acceleration only; inert for identity
-				cRProgShipped.Inc()
-			}
-		}
 		wg.Add(1)
 		start := time.Now()
 		cancel := r.Queue.Enqueue(wire, func(data []byte, qerr error) {

@@ -49,8 +49,8 @@ func expandMatrix(t *testing.T, m scenario.Matrix) []*campaign.Job {
 // TestRemoteByteIdentity pins the distributed contract end to end: the same
 // generated 60-cell matrix executed (a) on the in-process pool and (b)
 // through two pull-based workers over real loopback HTTP produces
-// byte-identical fingerprints, and a warm re-run through the workers
-// performs zero fresh simulations anywhere.
+// byte-identical fingerprints and equally sized stores, and a warm
+// re-run through the workers performs zero fresh simulations anywhere.
 func TestRemoteByteIdentity(t *testing.T) {
 	m := sixtyCellMatrix()
 	if got := m.Cells(); got != 60 {
@@ -85,7 +85,10 @@ func TestRemoteByteIdentity(t *testing.T) {
 		}
 		go w.Run(ctx)
 	}
-	runner := &campaign.RemoteRunner{Queue: q, Store: remoteStore}
+	// ShipPrograms is set the way older callers still set it: the field is
+	// deprecated and must change nothing, so the shared store ends up
+	// holding exactly the 60 results and no program artifacts beside them.
+	runner := &campaign.RemoteRunner{Queue: q, Store: remoteStore, ShipPrograms: true}
 	jobsB := expandMatrix(t, m)
 	outsB, err := runner.Run(context.Background(), jobsB, nil)
 	if err != nil {
@@ -98,6 +101,9 @@ func TestRemoteByteIdentity(t *testing.T) {
 	}
 	if hits := campaign.CacheHits(outsB); hits != 0 {
 		t.Fatalf("cold distributed run claims %d cache hits", hits)
+	}
+	if got, want := remoteStore.Len(), poolStore.Len(); got != want {
+		t.Fatalf("coordinator store holds %d entries, in-process store %d: only results belong there", got, want)
 	}
 	// Both workers should have participated (60 cells, 2-cell leases).
 	st := q.Stats()

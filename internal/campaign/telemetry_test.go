@@ -57,6 +57,40 @@ func TestWireCampaignFieldInert(t *testing.T) {
 	}
 }
 
+// TestWireProgramFieldInert pins mixed-version compatibility: a lease from
+// a coordinator built before program shipping was retired still carries a
+// "program" field of compiled bytes. The worker ignores it — the cell
+// decodes to the same key and the same job, and compiles its own module.
+func TestWireProgramFieldInert(t *testing.T) {
+	w := wireJobs(t, 1)[0]
+	data, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["program"]; ok {
+		t.Fatal("a fresh wire job carries a program field")
+	}
+	fields["program"] = json.RawMessage(`"bm90IGV2ZW4gYSB2YWxpZCBwcm9ncmFtIGFydGlmYWN0"`)
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	var rt WireJob
+	if err := json.Unmarshal(data, &rt); err != nil {
+		t.Fatalf("lease with a program field rejected: %v", err)
+	}
+	j, err := rt.Job()
+	if err != nil {
+		t.Fatalf("program-stamped wire job rejected: %v", err)
+	}
+	if key, ok := j.Key(); !ok || key != w.Key {
+		t.Fatalf("program bytes changed the key: %q vs %q", key, w.Key)
+	}
+}
+
 // TestFleetAndTraceAssembly is the loopback acceptance test for the fleet
 // observability surface: a sweep through two pull-based workers over real
 // HTTP yields live /work/fleet rows and a coordinator-assembled

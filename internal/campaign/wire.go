@@ -77,19 +77,6 @@ type WireJob struct {
 	// it, so it cannot reach the recomputed key, the execution, or the
 	// result bytes (TestWireCampaignFieldInert pins this).
 	Campaign string `json:"campaign,omitempty"`
-
-	// Program optionally carries the module's compiled program in its
-	// canonical byte encoding (sim.EncodeProgram), so a warm worker skips
-	// recompiling a module the coordinator has already compiled. Like
-	// Campaign it is inert for identity: Job() never reads it, so it cannot
-	// reach the recomputed key or the result bytes
-	// (TestWireProgramFieldInert pins this). The worker treats it as pure
-	// acceleration — sim.DecodeProgram verifies the bytes against the
-	// decoded module and the worker's own cost tables, and any mismatch
-	// (stale generation, corruption, different platform calibration) falls
-	// back to a local compile with byte-identical results (DESIGN.md
-	// invariant 12).
-	Program []byte `json:"program,omitempty"`
 }
 
 // WireTrain is the training-cell half of a WireJob: the agent recipe that,

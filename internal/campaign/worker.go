@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"astro/internal/hw"
 	"astro/internal/sim"
 	"astro/internal/telemetry"
 )
@@ -70,12 +69,6 @@ type Worker struct {
 	Token       string         // bearer token for coordinators behind WithBearerAuth ("" = none)
 	Faults      FaultPolicy    // optional injected-fault schedule (chaos drills; nil = none)
 	OnProgress  func(Progress) // optional per-cell hook (logging); called concurrently when Parallel > 1
-
-	// IgnorePrograms makes the worker compile every cell locally even when
-	// the coordinator ships compiled program bytes (`astro worker
-	// -ignore-programs`) — a diagnostic escape hatch; results are
-	// byte-identical either way.
-	IgnorePrograms bool
 
 	// Logf, when non-nil, receives operational log lines — lease failures
 	// with their retry counts and backoff, most importantly, so an
@@ -582,13 +575,7 @@ func (w *Worker) execute(ctx context.Context, cell *WireJob, received time.Time,
 
 // executeSim runs one simulation cell to canonical result bytes.
 // Agent-keyed hybrid cells resolve their snapshot through the worker's
-// agent exchange — local tier first, coordinator on miss. A cell carrying
-// shipped program bytes (WireJob.Program) has them verified against the
-// decoded module and this worker's cost tables; bytes that check out skip
-// the compile, bytes that do not — stale compiler generation, corruption
-// in transit, a coordinator calibrated for different hardware — are
-// refused and the cell compiles locally, with byte-identical results
-// either way (DESIGN.md invariant 12).
+// agent exchange — local tier first, coordinator on miss.
 func (w *Worker) executeSim(cell *WireJob) ([]byte, error) {
 	j, err := cell.Job()
 	if err != nil {
@@ -596,18 +583,6 @@ func (w *Worker) executeSim(cell *WireJob) ([]byte, error) {
 	}
 	if j.AgentKey != "" {
 		j.Agents = w.agentStore()
-	}
-	if len(cell.Program) > 0 && !w.IgnorePrograms && !j.Opts.LegacyInterp {
-		if plat, perr := hw.ByName(j.platformName()); perr == nil {
-			if prog, derr := sim.DecodeProgram(cell.Program, j.Module, plat); derr == nil {
-				j.Program = prog
-				cWProgHits.Inc()
-			} else {
-				cWProgRejects.Inc()
-				w.logf("worker %s: refusing shipped program for %s (%s); compiling locally: %v",
-					w.ID, cell.Key, cell.Label, derr)
-			}
-		}
 	}
 	res, err := j.Execute()
 	if err != nil {

@@ -11,6 +11,11 @@ import (
 // experiment (original vs learning vs final instrumentation), and (2) it lets
 // tools persist compiled programs. The format is versioned and round-trips
 // exactly (see encode_test.go).
+//
+// Decode reads bytes from outside the process (a worker decodes every
+// leased cell's module), so it accepts only the canonical encoding: every
+// varint minimal, every value inside its field's range. Anything it accepts
+// re-encodes to exactly the input bytes, which FuzzIRDecode pins.
 
 const encMagic = "ASTROIR1"
 
@@ -36,6 +41,9 @@ func (d *decoder) u64() uint64 {
 		d.err = fmt.Errorf("ir: truncated uvarint at offset %d", d.off)
 		return 0
 	}
+	if !d.minimal(n) {
+		return 0
+	}
 	d.off += n
 	return v
 }
@@ -49,8 +57,55 @@ func (d *decoder) i64() int64 {
 		d.err = fmt.Errorf("ir: truncated varint at offset %d", d.off)
 		return 0
 	}
+	if !d.minimal(n) {
+		return 0
+	}
 	d.off += n
 	return v
+}
+
+// minimal reports whether the n-byte varint at the current offset is the
+// shortest encoding of its value: a multi-byte varint whose last byte is
+// zero carries a redundant continuation and would re-encode shorter.
+func (d *decoder) minimal(n int) bool {
+	if n > 1 && d.buf[d.off+n-1] == 0 {
+		d.err = fmt.Errorf("ir: non-minimal varint at offset %d", d.off)
+		return false
+	}
+	return true
+}
+
+// u8 reads a uvarint into a one-byte field (Type, Opcode).
+func (d *decoder) u8() uint8 {
+	off := d.off
+	v := d.u64()
+	if v > math.MaxUint8 {
+		d.err = fmt.Errorf("ir: value %d at offset %d overflows a byte field", v, off)
+		return 0
+	}
+	return uint8(v)
+}
+
+// i32 reads a varint into an int32 field (register, block, symbol).
+func (d *decoder) i32() int32 {
+	off := d.off
+	v := d.i64()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		d.err = fmt.Errorf("ir: value %d at offset %d overflows an int32 field", v, off)
+		return 0
+	}
+	return int32(v)
+}
+
+// int reads a uvarint into a non-negative int field (count, size, line).
+func (d *decoder) int() int {
+	off := d.off
+	v := d.u64()
+	if v > math.MaxInt {
+		d.err = fmt.Errorf("ir: value %d at offset %d overflows an int field", v, off)
+		return 0
+	}
+	return int(v)
 }
 
 func (d *decoder) f64() float64 {
@@ -71,7 +126,7 @@ func (d *decoder) str() string {
 	if d.err != nil {
 		return ""
 	}
-	if d.off+int(n) > len(d.buf) {
+	if n > uint64(len(d.buf)-d.off) {
 		d.err = fmt.Errorf("ir: truncated string at offset %d", d.off)
 		return ""
 	}
@@ -142,11 +197,11 @@ func Decode(data []byte) (*Module, error) {
 	d := &decoder{buf: data, off: len(encMagic)}
 	m := &Module{FuncIndex: map[string]int{}}
 	m.Name = d.str()
-	m.NumMutex = int(d.u64())
-	m.NumBarrier = int(d.u64())
+	m.NumMutex = d.int()
+	m.NumBarrier = d.int()
 	ng := d.u64()
 	for i := uint64(0); i < ng && d.err == nil; i++ {
-		g := GlobalDecl{Name: d.str(), Size: int64(d.u64()), Elem: Type(d.u64())}
+		g := GlobalDecl{Name: d.str(), Size: int64(d.int()), Elem: Type(d.u8())}
 		m.Globals = append(m.Globals, g)
 	}
 	nf := d.u64()
@@ -155,36 +210,36 @@ func Decode(data []byte) (*Module, error) {
 		f.Name = d.str()
 		np := d.u64()
 		for j := uint64(0); j < np && d.err == nil; j++ {
-			f.Params = append(f.Params, Type(d.u64()))
+			f.Params = append(f.Params, Type(d.u8()))
 		}
-		f.Ret = Type(d.u64())
+		f.Ret = Type(d.u8())
 		nr := d.u64()
 		for j := uint64(0); j < nr && d.err == nil; j++ {
-			f.Regs = append(f.Regs, Type(d.u64()))
+			f.Regs = append(f.Regs, Type(d.u8()))
 		}
 		na := d.u64()
 		for j := uint64(0); j < na && d.err == nil; j++ {
-			f.Arrays = append(f.Arrays, ArrayDecl{Name: d.str(), Size: int64(d.u64()), Elem: Type(d.u64())})
+			f.Arrays = append(f.Arrays, ArrayDecl{Name: d.str(), Size: int64(d.int()), Elem: Type(d.u8())})
 		}
-		f.SrcLine = int(d.u64())
+		f.SrcLine = d.int()
 		nb := d.u64()
 		for j := uint64(0); j < nb && d.err == nil; j++ {
 			b := &Block{ID: int(j)}
 			ni := d.u64()
 			for k := uint64(0); k < ni && d.err == nil; k++ {
 				in := Instr{
-					Op:  Opcode(d.u64()),
-					Dst: int32(d.i64()),
-					A:   int32(d.i64()),
-					B:   int32(d.i64()),
-					C:   int32(d.i64()),
-					Sym: int32(d.i64()),
+					Op:  Opcode(d.u8()),
+					Dst: d.i32(),
+					A:   d.i32(),
+					B:   d.i32(),
+					C:   d.i32(),
+					Sym: d.i32(),
 					Imm: d.i64(),
 				}
 				in.FImm = d.f64()
 				nargs := d.u64()
 				for a := uint64(0); a < nargs && d.err == nil; a++ {
-					in.Args = append(in.Args, int32(d.i64()))
+					in.Args = append(in.Args, d.i32())
 				}
 				b.Instrs = append(b.Instrs, in)
 			}

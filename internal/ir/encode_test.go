@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -147,6 +148,69 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(truncated); err == nil {
 		t.Error("truncated data accepted")
 	}
+}
+
+// TestDecodeRejectsNonCanonical feeds Decode inputs that are hostile or
+// merely non-canonical: each must fail with an error, never a panic, and
+// never decode to a module that re-encodes to different bytes.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	// Both overflow inputs are complete encodings, so only the range check
+	// can refuse them. dstOverflow is an unnamed module with one function
+	// holding one block of one nop whose Dst is 2^31.
+	dstOverflow := &encoder{buf: []byte(encMagic)}
+	dstOverflow.str("")  // module name
+	dstOverflow.u64(0)   // mutexes
+	dstOverflow.u64(0)   // barriers
+	dstOverflow.u64(0)   // globals
+	dstOverflow.u64(1)   // functions
+	dstOverflow.str("f") // function name
+	dstOverflow.u64(0)   // params
+	dstOverflow.u64(0)   // return type
+	dstOverflow.u64(0)   // registers
+	dstOverflow.u64(0)   // arrays
+	dstOverflow.u64(0)   // source line
+	dstOverflow.u64(1)   // blocks
+	dstOverflow.u64(1)   // instructions
+	dstOverflow.u64(0)   // opcode
+	dstOverflow.i64(1 << 31)
+	for range 5 { // A, B, C, Sym, Imm
+		dstOverflow.i64(0)
+	}
+	dstOverflow.f64(0)
+	dstOverflow.u64(0) // args
+	// elemOverflow has one global whose one-byte Elem is 256, and no
+	// functions.
+	elemOverflow := &encoder{buf: []byte(encMagic)}
+	elemOverflow.str("")
+	elemOverflow.u64(0)
+	elemOverflow.u64(0)
+	elemOverflow.u64(1)
+	elemOverflow.str("g")
+	elemOverflow.u64(1)
+	elemOverflow.u64(256)
+	elemOverflow.u64(0)
+	cases := map[string][]byte{
+		// A string length of 2^64-1 used to overflow the bounds check.
+		"huge-string-length": append([]byte(encMagic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		// NumMutex 22 written as the two-byte varint 96 00.
+		"non-minimal-varint": mustHex(t, "415354524f49523101309600300000"),
+		"int32-overflow":     dstOverflow.buf,
+		"byte-overflow":      elemOverflow.buf,
+	}
+	for name, data := range cases {
+		if m, err := Decode(data); err == nil {
+			t.Errorf("%s: accepted, re-encodes as %x", name, Encode(m))
+		}
+	}
+}
+
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestEncodedSizeGrowsWithInstrumentation(t *testing.T) {

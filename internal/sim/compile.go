@@ -357,12 +357,9 @@ func (cf *compiledFunc) argRegs(ci *cinstr) []int32 {
 	return cf.args[ci.argOff : int(ci.argOff)+int(ci.argN)]
 }
 
-// Program is a module lowered for fast dispatch: the bytecode tier's
-// in-memory form. The instruction stream is immutable and safe for
-// concurrent machines; per-core-cost specializations are built lazily and
-// cached on the Program (see variant). A Program round-trips through the
-// canonical byte encoding (EncodeProgram/DecodeProgram) without changing
-// what it executes.
+// Program is a module lowered for fast dispatch. The instruction stream is
+// immutable and safe for concurrent machines; per-core-cost specializations
+// are built lazily and cached on the Program (see variant).
 type Program struct {
 	mod   *ir.Module
 	funcs []compiledFunc
@@ -428,8 +425,7 @@ func staticCost(ci *cinstr, t *costTable) float64 {
 
 // CompileModule lowers every function of the module into the flat
 // register-machine stream, superop fusion included. Compilation is
-// deterministic: two compiles of equal modules produce identical streams,
-// and EncodeProgram pins that determinism down to the byte.
+// deterministic: two compiles of equal modules produce identical streams.
 func CompileModule(mod *ir.Module) *Program {
 	p := &Program{mod: mod, funcs: make([]compiledFunc, len(mod.Funcs))}
 	for i, fn := range mod.Funcs {
@@ -541,8 +537,8 @@ var progCache struct {
 
 // CompiledProgram returns the cached lowering of mod, compiling on miss.
 // The cache is keyed by module pointer, so callers that decode a fresh
-// module per job (workers) never hit it — shipping the encoded program over
-// the wire is what removes that recompilation.
+// module per job (workers) never hit it and compile each cell they run;
+// that compile is well under 1% of a cell's wall time (EXPERIMENTS.md).
 func CompiledProgram(mod *ir.Module) *Program {
 	progCache.mu.Lock()
 	if p, ok := progCache.m[mod]; ok {

@@ -1,14 +1,12 @@
 package sim_test
 
-// Differential fuzz battery for the execution tiers. The fuzzer drives the
-// scenario generator (seeded synthesis of astc programs with threads,
-// mutexes, barriers and mixed phase structure) and requires all three
-// tiers — the compiled fast path, the legacy interpreter, and a program
-// round-tripped through its canonical byte encoding — to produce
-// byte-identical canonical results: final state, event trace, checkpoint
-// stream and per-core cycle counters all live in EncodeResult's output.
-// It also pins that compiling the same module twice yields byte-identical
-// EncodeProgram output (content-addressing would silently break otherwise).
+// Differential fuzz battery for the two execution tiers: fast path vs
+// legacy interpreter. The fuzzer drives the scenario generator (seeded
+// synthesis of astc programs with threads, mutexes, barriers and mixed
+// phase structure) and requires the compiled fast path and the legacy
+// interpreter to produce byte-identical canonical results: final state,
+// event trace, checkpoint stream and per-core cycle counters all live in
+// EncodeResult's output.
 //
 // This lives in package sim_test because the scenario generator transitively
 // imports sim (scenario → campaign → sim).
@@ -89,8 +87,8 @@ func FuzzDifferentialTiers(f *testing.F) {
 			BoundsCheck:   true,
 		}
 
-		run := func(o sim.Options, prog *sim.Program) []byte {
-			m, err := sim.NewWithProgram(mod, plat, o, prog)
+		run := func(o sim.Options) []byte {
+			m, err := sim.New(mod, plat, o)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -105,67 +103,13 @@ func FuzzDifferentialTiers(f *testing.F) {
 			return data
 		}
 
-		fast := run(opts, nil)
+		fast := run(opts)
 
 		legacyOpts := opts
 		legacyOpts.LegacyInterp = true
-		legacy := run(legacyOpts, nil)
+		legacy := run(legacyOpts)
 		if !bytes.Equal(fast, legacy) {
 			t.Fatalf("fast path diverged from legacy interpreter\nfast:   %.400s\nlegacy: %.400s", fast, legacy)
 		}
-
-		enc := sim.EncodeProgram(sim.CompileModule(mod), plat)
-		if enc2 := sim.EncodeProgram(sim.CompileModule(mod), plat); !bytes.Equal(enc, enc2) {
-			t.Fatal("EncodeProgram not deterministic across independent compiles")
-		}
-		prog, err := sim.DecodeProgram(enc, mod, plat)
-		if err != nil {
-			t.Fatalf("DecodeProgram: %v", err)
-		}
-		decoded := run(opts, prog)
-		if !bytes.Equal(fast, decoded) {
-			t.Fatalf("bytecode tier diverged from fast path\nfast:    %.400s\ndecoded: %.400s", fast, decoded)
-		}
 	})
-}
-
-// TestRoundTripScenarioModules hammers the codec with 200 seeded synthetic
-// modules spanning the scenario parameter space: double-compile encode
-// determinism and decode→re-encode byte identity for each. Complements the
-// registry sweep in bytecode_test.go with generated program shapes.
-func TestRoundTripScenarioModules(t *testing.T) {
-	plat := hw.OdroidXU4()
-	for i := 0; i < 200; i++ {
-		pp := scenario.ProgramParams{
-			Seed:      int64(1000 + i),
-			CPU:       1 + i%3,
-			IO:        i % 2,
-			Blocked:   (i / 2) % 2,
-			Mixed:     (i / 4) % 2,
-			Threads:   1 + i%8,
-			LoopDepth: 1 + i%4,
-			Trip:      4 + i%29,
-			Mutexes:   i % 4,
-			Barrier:   i%3 == 0,
-		}
-		spec, err := scenario.Generate(pp)
-		if err != nil {
-			t.Fatalf("seed %d: Generate: %v", pp.Seed, err)
-		}
-		mod, err := spec.Compile()
-		if err != nil {
-			t.Fatalf("seed %d: compile: %v", pp.Seed, err)
-		}
-		enc := sim.EncodeProgram(sim.CompileModule(mod), plat)
-		if enc2 := sim.EncodeProgram(sim.CompileModule(mod), plat); !bytes.Equal(enc, enc2) {
-			t.Fatalf("seed %d: EncodeProgram not deterministic", pp.Seed)
-		}
-		prog, err := sim.DecodeProgram(enc, mod, plat)
-		if err != nil {
-			t.Fatalf("seed %d: DecodeProgram: %v", pp.Seed, err)
-		}
-		if re := sim.EncodeProgram(prog, plat); !bytes.Equal(enc, re) {
-			t.Fatalf("seed %d: decoded program re-encodes differently", pp.Seed)
-		}
-	}
 }

@@ -17,7 +17,6 @@ var (
 	mSuperops   = telemetry.Default.Counter("astro_sim_superops_total", "Fused superops emitted by the fast-path compiler (static count).")
 	mCompiles   = telemetry.Default.Counter("astro_sim_compiles_total", "Module fast-path compilations (progCache misses).")
 	mCompileHit = telemetry.Default.Counter("astro_sim_compile_cache_hits_total", "progCache hits for already-compiled modules.")
-	mProgDecode = telemetry.Default.Counter("astro_sim_program_decodes_total", "Compiled programs rebuilt from their canonical byte encoding.")
 )
 
 // countSuperops returns the number of fused superop slots in a compiled

@@ -232,13 +232,11 @@ func New(mod *ir.Module, plat *hw.Platform, opts Options) (*Machine, error) {
 }
 
 // NewWithProgram builds a machine that executes an already-compiled program
-// — typically one decoded from its canonical byte encoding (DecodeProgram)
-// after being shipped over the wire — instead of compiling mod itself. prog
-// must have been compiled from (or decoded against) exactly this module;
-// since compilation and decoding both bind the module pointer, that is
-// checked by identity. A nil prog compiles locally through the cache, and
-// Options.LegacyInterp ignores prog entirely: the program is an acceleration
-// structure, never a behavioural input (DESIGN.md invariant 12).
+// (CompileModule) instead of looking mod up in the compile cache. prog must
+// have been compiled from exactly this module; since compilation binds the
+// module pointer, that is checked by identity. A nil prog compiles through
+// the cache, and Options.LegacyInterp ignores prog entirely: the program is
+// an acceleration structure, never a behavioural input.
 func NewWithProgram(mod *ir.Module, plat *hw.Platform, opts Options, prog *Program) (*Machine, error) {
 	opts.setDefaults()
 	if prog != nil && prog.mod != mod {
