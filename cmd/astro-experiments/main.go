@@ -20,9 +20,8 @@
 // -remote turns this process into the coordinator of a worker fleet: it
 // serves the /work lease endpoints on addr and every campaign cell —
 // simulation jobs, hybrid-by-agent-key jobs, and fig10's training cells —
-// leases out to `astro worker` processes instead of simulating in-process
-// (the -j pool remains only as the fallback for non-wireable jobs). Point
-// any number of workers at it:
+// leases out to `astro worker` processes instead of simulating in-process.
+// Point any number of workers at it:
 //
 //	astro-experiments -fig 10 -remote :8090 -cache /tmp/coord &
 //	astro worker -coordinator http://localhost:8090 -id w1 &
@@ -96,7 +95,7 @@ func main() {
 	}
 	cfg := experiments.ExecConfig{Workers: *jobs, Store: exec, Ctx: ctx}
 	if *remoteAddr != "" {
-		runner, stop, err := startCoordinator(*remoteAddr, *leaseTTL, *jobs, exec, *pprofOn, *token, *journalDir)
+		runner, stop, err := startCoordinator(*remoteAddr, *leaseTTL, exec, *pprofOn, *token, *journalDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "astro-experiments:", err)
 			os.Exit(1)
@@ -113,10 +112,9 @@ func main() {
 }
 
 // startCoordinator mounts the worker protocol on addr and returns the
-// RemoteRunner that leases this process's cells to the fleet. The local
-// pool stays as the fallback for non-wireable jobs; with the whole paper
-// suite declarative it sits idle, so a cold fig10 performs zero
-// coordinator-local simulations or trainings.
+// RemoteRunner that leases this process's cells to the fleet: every
+// campaign cell is wired, so a cold fig10 performs zero coordinator-local
+// simulations or trainings.
 //
 // Beside the /work endpoints the coordinator serves GET /metrics
 // (Prometheus text over the process-wide telemetry registry), GET
@@ -130,7 +128,7 @@ func main() {
 // journalDir, when non-empty, records every queue lifecycle event for
 // `astro journal replay` and GET /work/journal. The returned stop
 // halts the queue's background lease sweeper and closes the journal.
-func startCoordinator(addr string, ttl time.Duration, poolWorkers int, store campaign.ResultStore, pprofOn bool, token, journalDir string) (*campaign.RemoteRunner, func(), error) {
+func startCoordinator(addr string, ttl time.Duration, store campaign.ResultStore, pprofOn bool, token, journalDir string) (*campaign.RemoteRunner, func(), error) {
 	q := campaign.NewWorkQueue(ttl)
 	q.Store = store // bank late results of timed-out figures
 	closeJournal := func() {}
@@ -167,11 +165,7 @@ func startCoordinator(addr string, ttl time.Duration, poolWorkers int, store cam
 	go http.Serve(ln, mux)
 	fmt.Fprintf(os.Stderr, "astro-experiments: coordinating workers on %s (lease TTL %v); point `astro worker -coordinator http://<host>%s` here\n",
 		ln.Addr(), ttl, addr)
-	return &campaign.RemoteRunner{
-		Queue: q,
-		Store: store,
-		Local: campaign.Pool{Workers: poolWorkers, Store: store},
-	}, stop, nil
+	return &campaign.RemoteRunner{Queue: q, Store: store}, stop, nil
 }
 
 // run executes the requested artifacts, continuing past failures, and

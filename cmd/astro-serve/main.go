@@ -47,7 +47,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	jobs := flag.Int("j", runtime.NumCPU(), "campaign pool workers (local execution and -remote fallback)")
+	jobs := flag.Int("j", runtime.NumCPU(), "campaign pool workers (ignored with -remote: every cell leases to workers)")
 	cacheDir := flag.String("cache", "", "on-disk result cache directory (default: in-memory only)")
 	shards := flag.Int("shards", 0, "shard the result store by key prefix for concurrent writers (0 = the existing store's count, or 1 for a new directory)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "cap the on-disk result store; LRU-evicts unpinned entries past the cap (0 = unbounded; requires -cache)")
@@ -84,12 +84,7 @@ func main() {
 	var runner campaign.Runner = &campaign.Pool{Workers: *jobs, Store: store}
 	mode := "local pool"
 	if *remote {
-		// The local pool stays as the fallback for non-wireable jobs.
-		runner = &campaign.RemoteRunner{
-			Queue: queue,
-			Store: store,
-			Local: campaign.Pool{Workers: *jobs, Store: store},
-		}
+		runner = &campaign.RemoteRunner{Queue: queue, Store: store}
 		mode = "remote workers"
 	}
 	eng := campaign.NewEngineWith(runner, store)

@@ -33,13 +33,9 @@ type cluster struct {
 }
 
 // startCluster spins up the coordinator and n workers sharing store.
-// localWidth sizes the fallback pool for non-wireable jobs (the CLI's -j).
-func startCluster(n, localWidth int, store campaign.ResultStore) (*cluster, error) {
+func startCluster(n int, store campaign.ResultStore) (*cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster needs at least 1 worker, got %d", n)
-	}
-	if localWidth < 1 {
-		localWidth = n
 	}
 	q := campaign.NewWorkQueue(campaign.DefaultLeaseTTL)
 	q.Store = store // keep late results of cancelled sweeps
@@ -74,11 +70,7 @@ func startCluster(n, localWidth int, store campaign.ResultStore) (*cluster, erro
 			}
 		}()
 	}
-	c.runner = &campaign.RemoteRunner{
-		Queue: q,
-		Store: store,
-		Local: campaign.Pool{Workers: localWidth, Store: store},
-	}
+	c.runner = &campaign.RemoteRunner{Queue: q, Store: store}
 	return c, nil
 }
 
@@ -99,7 +91,7 @@ func newRunner(poolWorkers, remoteWorkers int, store campaign.ResultStore) (camp
 	if remoteWorkers <= 0 {
 		return &campaign.Pool{Workers: poolWorkers, Store: store}, func() {}, nil
 	}
-	c, err := startCluster(remoteWorkers, poolWorkers, store)
+	c, err := startCluster(remoteWorkers, store)
 	if err != nil {
 		return nil, nil, err
 	}

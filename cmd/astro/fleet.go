@@ -106,9 +106,9 @@ func renderFleetTop(f *fleetFrame) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "astro fleet top — %s\n\n", f.When.Format("15:04:05"))
 
-	qt := tablefmt.NewTable("pending", "leased", "done", "requeues", "rejects", "duplicates", "renewals", "local done")
+	qt := tablefmt.NewTable("pending", "leased", "done", "requeues", "rejects", "duplicates", "renewals")
 	qt.Row(f.Stats.Pending, f.Stats.Leased, f.Stats.Done, f.Stats.Requeues,
-		f.Stats.Rejects, f.Stats.Duplicates, f.Stats.Renewals, f.Stats.LocalDone)
+		f.Stats.Rejects, f.Stats.Duplicates, f.Stats.Renewals)
 	b.WriteString(qt.String())
 
 	if len(f.Metrics) > 0 {

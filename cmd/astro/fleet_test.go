@@ -44,6 +44,10 @@ func TestRenderFleetTop(t *testing.T) {
 			t.Errorf("frame missing %q:\n%s", want, out)
 		}
 	}
+	// Every cell is leased to the fleet; the coordinator runs none itself.
+	if strings.Contains(out, "local") {
+		t.Errorf("frame still reports coordinator-local cells:\n%s", out)
+	}
 
 	// No workers yet: the table says so instead of rendering empty.
 	empty := &fleetFrame{When: f.When, Metrics: map[string]float64{}}

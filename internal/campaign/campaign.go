@@ -9,14 +9,14 @@
 //   - Job: one fully-specified simulation. Its Key is a SHA-256 over every
 //     input that can influence the result (module IR bytes, platform,
 //     scheduler policy, initial configuration, seed, arguments, simulator
-//     knobs), so two byte-identical jobs are the same job. Behaviour that
-//     lives outside those bytes (a custom Hybrid policy) must be named
-//     into the key via HybridKey or the job is uncacheable.
+//     knobs), so two byte-identical jobs are the same job. A trained hybrid
+//     policy lives outside those bytes, so a job names it by its
+//     snapshot's content key (AgentKey), which the key then covers.
 //   - ResultStore: the storage contract — canonical bytes by content key —
-//     implemented by Store (in-memory + optional crash-safe on-disk tier),
-//     ShardedStore (key-prefix shards with an on-disk index, for N
-//     concurrent writers), and AgentExchange (a worker-local tier backed
-//     by a coordinator over HTTP).
+//     implemented by ShardedStore (key-prefix shards, in memory with an
+//     optional crash-safe on-disk tier and index; NewMemStore is its
+//     one-shard memory-only form) and AgentExchange (a worker-local tier
+//     backed by a coordinator over HTTP).
 //   - Runner: the execution contract, implemented by Pool (in-process
 //     worker pool with deterministic static sharding) and RemoteRunner
 //     (cells leased to pull-based workers over HTTP via a WorkQueue, with
@@ -75,35 +75,27 @@ type Job struct {
 	Args     []int64
 	Opts     sim.Options // scalar knobs only; OS/Actuator/Hybrid must be nil
 
-	// Hybrid optionally supplies a custom hybrid policy (e.g. a trained
-	// agent). Policies built this way live outside the content hash, so the
-	// caller must name them via HybridKey for the job to be cacheable; a
-	// Hybrid factory with an empty HybridKey marks the job uncacheable.
-	Hybrid    func() sim.HybridPolicy
-	HybridKey string
-
-	// AgentKey is the declarative alternative to Hybrid: the content
-	// address (TrainSpec.Key) of a trained-agent snapshot in the result
-	// store. Execute rebuilds the hybrid policy from the snapshot alone —
-	// restore the agent, extract the visited-state static policy, wrap both
-	// in a HybridRuntime — so the job's behaviour is a pure function of the
-	// key. Snapshots are inference-exact and carry their visited states,
-	// which makes the rebuilt policy bit-identical on every machine: unlike
-	// factory-built Hybrid jobs, agent-keyed jobs are cacheable AND
-	// wireable, and need no Exclusive tag (each execution restores a
-	// private agent). Mutually exclusive with Hybrid/HybridKey.
+	// AgentKey names the job's hybrid policy: the content address
+	// (TrainSpec.Key) of a trained-agent snapshot in the result store, or
+	// "" for no hybrid policy. Execute rebuilds the policy from the
+	// snapshot alone — restore the agent, extract the visited-state static
+	// policy, wrap both in a HybridRuntime — so the job's behaviour is a
+	// pure function of the key. Snapshots are inference-exact and carry
+	// their visited states, which makes the rebuilt policy bit-identical on
+	// every machine: agent-keyed jobs are cacheable and wireable, and each
+	// execution restores a private agent.
 	AgentKey string
 
 	// Agents supplies the snapshot store Execute resolves AgentKey
-	// against (a local Store, or a worker's AgentExchange). It is runtime
-	// wiring, not identity — never hashed. Pool fills it from its own
-	// store when the job leaves it nil.
+	// against (a local ShardedStore, or a worker's AgentExchange). It is
+	// runtime wiring, not identity — never hashed. Pool fills it from its
+	// own store when the job leaves it nil.
 	Agents ResultStore
 
-	// Exclusive serializes jobs sharing the same non-empty tag: jobs whose
-	// policies share mutable state (a DQN's inference scratch buffers, say)
-	// must not run concurrently with each other.
-	Exclusive string
+	// Deprecated: Hybrid is refused. A live policy factory has no content
+	// identity, so Key reports a job that sets it uncacheable and Wire and
+	// Execute return an error; name the trained agent by AgentKey instead.
+	Hybrid func() sim.HybridPolicy
 
 	// modHash caches the module's content hash; see (*Job).moduleHash.
 	modHash string
@@ -135,30 +127,27 @@ func (j *Job) platformName() string {
 }
 
 // hybridIdentity names the job's hybrid behaviour for the content hash:
-// the caller-supplied HybridKey for factory-built policies, or a derived
-// "agent:<key>" token for agent-keyed jobs (the snapshot fully determines
-// the rebuilt policy, so its content address is the policy's identity).
-// The second return is false when the hybrid behaviour cannot be named —
-// a factory without a HybridKey, or conflicting declarations.
-func (j *Job) hybridIdentity() (string, bool) {
-	if j.AgentKey != "" {
-		if j.Hybrid != nil || j.HybridKey != "" {
-			return "", false // two hybrid identities would shadow each other
-		}
-		return "agent:" + j.AgentKey, true
+// "agent:<key>" for agent-keyed jobs (the snapshot fully determines the
+// rebuilt policy, so its content address is the policy's identity), or
+// empty for none.
+func (j *Job) hybridIdentity() string {
+	if j.AgentKey == "" {
+		return ""
 	}
-	if j.Hybrid != nil && j.HybridKey == "" {
-		return "", false
-	}
-	return j.HybridKey, true
+	return "agent:" + j.AgentKey
+}
+
+// refuseHybrid is the error Wire and Execute return for a job that sets
+// the deprecated Hybrid factory.
+func (j *Job) refuseHybrid() error {
+	return fmt.Errorf("campaign: job %d (%s) sets the deprecated Hybrid factory; name the trained agent by AgentKey", j.Index, j.Label)
 }
 
 // Key returns the job's content address and whether the job is cacheable.
-// Uncacheable jobs (custom hybrid policy without a HybridKey) always
-// simulate fresh.
+// A job that sets the deprecated Hybrid factory is uncacheable (and both
+// Wire and Execute refuse it).
 func (j *Job) Key() (string, bool) {
-	hybrid, ok := j.hybridIdentity()
-	if !ok {
+	if j.Hybrid != nil {
 		return "", false
 	}
 	// Seed, Args and InitialConfig live on the Job itself; clear them in the
@@ -191,7 +180,7 @@ func (j *Job) Key() (string, bool) {
 	sb.WriteByte('\n')
 	sb.WriteString(fp)
 	sb.WriteByte('\n')
-	sb.WriteString(hybrid)
+	sb.WriteString(j.hybridIdentity())
 	sum := sha256.Sum256([]byte(sb.String()))
 	return hex.EncodeToString(sum[:]), true
 }
@@ -274,6 +263,9 @@ func (j *Job) Execute() (*sim.Result, error) {
 	if j.Module == nil {
 		return nil, fmt.Errorf("campaign: job %d (%s) has no module", j.Index, j.Label)
 	}
+	if j.Hybrid != nil {
+		return nil, j.refuseHybrid()
+	}
 	if j.Opts.OS != nil || j.Opts.Actuator != nil || j.Opts.Hybrid != nil {
 		return nil, fmt.Errorf("campaign: job %d (%s): set policies by name, not in Opts", j.Index, j.Label)
 	}
@@ -291,16 +283,7 @@ func (j *Job) Execute() (*sim.Result, error) {
 	if opts.Actuator, err = buildActuator(j.Actuator, plat); err != nil {
 		return nil, err
 	}
-	if j.AgentKey != "" && (j.Hybrid != nil || j.HybridKey != "") {
-		// The same conflict hybridIdentity reports as uncacheable — but a
-		// conflicted job must fail loudly here, not quietly lose caching
-		// and wireability (its one observable symptom would be silent
-		// re-simulation on every run).
-		return nil, fmt.Errorf("campaign: job %d (%s): AgentKey conflicts with Hybrid/HybridKey", j.Index, j.Label)
-	}
-	if j.Hybrid != nil {
-		opts.Hybrid = j.Hybrid()
-	} else if j.AgentKey != "" {
+	if j.AgentKey != "" {
 		if opts.Hybrid, err = j.hybridFromAgent(plat); err != nil {
 			return nil, err
 		}

@@ -123,14 +123,17 @@ func TestJobKey(t *testing.T) {
 	if k1 != k2 {
 		t.Fatal("Opts seed/args changed the key; they are carried by job fields")
 	}
-	// Custom hybrid policies without a name are uncacheable.
+	// The deprecated factory form is uncacheable, and Wire and Execute
+	// refuse it rather than run a non-hybrid simulation in its place.
 	j.Hybrid = func() sim.HybridPolicy { return nopHybrid{} }
 	if _, ok := j.Key(); ok {
-		t.Fatal("unnamed hybrid policy must be uncacheable")
+		t.Fatal("hybrid factory must be uncacheable")
 	}
-	j.HybridKey = "named"
-	if _, ok := j.Key(); !ok {
-		t.Fatal("named hybrid policy must be cacheable")
+	if _, err := j.Execute(); err == nil || !strings.Contains(err.Error(), "AgentKey") {
+		t.Fatalf("Execute ran a hybrid factory job: %v", err)
+	}
+	if _, err := j.Wire(); err == nil || !strings.Contains(err.Error(), "AgentKey") {
+		t.Fatalf("Wire accepted a hybrid factory job: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,8 +145,7 @@ func TestDistributedFig10ByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Leg B: coordinator + two workers over HTTP. The fallback pool is a
-	// tracer: every cell of the matrix is wireable, so it must stay idle.
+	// Leg B: coordinator + two workers over HTTP.
 	cellsB := fig10StyleCells(t, benchmarks)
 	storeB := NewMemStore()
 	q := NewWorkQueue(time.Minute)
@@ -191,9 +191,6 @@ func TestDistributedFig10ByteIdentity(t *testing.T) {
 	wantDone := len(specsB) + len(jobsB)
 	if st.Done != wantDone {
 		t.Fatalf("queue completed %d cells, want %d (train %d + sim %d)", st.Done, wantDone, len(specsB), len(jobsB))
-	}
-	if st.LocalDone != 0 || st.LocalPending != 0 {
-		t.Fatalf("coordinator-local fallback executed cells: %+v", st)
 	}
 	completed := 0
 	for _, w := range st.Workers {
@@ -294,29 +291,39 @@ func TestTrainLeaseRenewalKeepsLongCellAlive(t *testing.T) {
 	}
 }
 
-// TestRemoteRunnerCountsLocalFallback pins the status-accounting fix: a
-// non-wireable job (in-process Hybrid factory) executed on the
-// RemoteRunner's fallback pool shows up in the queue's Local* counters, so
-// /work/status reflects the whole campaign.
-func TestRemoteRunnerCountsLocalFallback(t *testing.T) {
-	cells := fig10StyleCells(t, []string{"spin"})
-	store := NewMemStore()
-	pool := &Pool{Workers: 1, Store: store}
-	if _, err := pool.Train(context.Background(), []*TrainSpec{cells[0].spec}); err != nil {
-		t.Fatal(err)
+// TestDeprecatedHybridRefused pins that the deprecated Hybrid factory is
+// never executed: on the in-process pool and on the remote runner a job
+// that sets it finishes as an error outcome at its own index, is never
+// leased, and leaves no store entry, while its neighbours run normally.
+func TestDeprecatedHybridRefused(t *testing.T) {
+	factoryJobs := func() []*Job {
+		jobs := fig10StyleJobs(t, fig10StyleCells(t, []string{"spin"}), 1, nil)[:1]
+		factory := *jobs[0]
+		factory.Index = 1
+		factory.Hybrid = func() sim.HybridPolicy { return nil }
+		return append(jobs, &factory)
 	}
-	jobs := fig10StyleJobs(t, cells, 1, store)
-	// Make one plain job non-wireable: an in-process policy factory is the
-	// one form that cannot cross the wire. The factory yields nil (the
-	// plain module never consults a hybrid policy), so only the routing
-	// changes, not the simulation.
-	tracer := jobs[0]
-	if tracer.AgentKey != "" {
-		t.Fatal("expected jobs[0] to be the plain gts sample")
+	check := func(leg string, outs []*Outcome, err error, store *ShardedStore) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "AgentKey") {
+			t.Fatalf("%s: batch error %v, want the factory refused with a pointer to AgentKey", leg, err)
+		}
+		if outs[0].Err != nil {
+			t.Fatalf("%s: plain job failed beside the refused one: %v", leg, outs[0].Err)
+		}
+		if outs[1].Err == nil || outs[1].Result != nil {
+			t.Fatalf("%s: factory job ran: %+v", leg, outs[1])
+		}
+		if n := store.Len(); n != 1 {
+			t.Fatalf("%s: store holds %d entries, want only the plain job's", leg, n)
+		}
 	}
-	tracer.Hybrid = func() sim.HybridPolicy { return nil }
-	tracer.HybridKey = "local-fallback-tracer"
 
+	poolStore := NewMemStore()
+	outs, err := (&Pool{Workers: 2, Store: poolStore}).Run(context.Background(), factoryJobs(), nil)
+	check("pool", outs, err, poolStore)
+
+	store := NewMemStore()
 	q := NewWorkQueue(time.Minute)
 	q.Store = store
 	srv := startCoordinator(t, q, store)
@@ -324,20 +331,58 @@ func TestRemoteRunnerCountsLocalFallback(t *testing.T) {
 	defer cancel()
 	w := &Worker{Coordinator: srv.URL + "/work", ID: "wire-only", Max: 2, Poll: 2 * time.Millisecond}
 	go w.Run(ctx)
+	localStore := NewMemStore()
+	runner := &RemoteRunner{Queue: q, Store: store, Local: Pool{Workers: 1, Store: localStore}}
+	outs, err = runner.Run(context.Background(), factoryJobs(), nil)
+	check("remote", outs, err, store)
+	if st := q.Stats(); st.Done != 1 || st.Pending != 0 || st.Leased != 0 {
+		t.Fatalf("queue saw the refused job: %+v", st)
+	}
+	if n := localStore.Len(); n != 0 {
+		t.Fatalf("coordinator-local pool ran %d jobs", n)
+	}
+}
 
-	runner := &RemoteRunner{Queue: q, Store: NewMemStore(), Local: Pool{Workers: 1}}
-	outs, err := runner.Run(context.Background(), jobs, nil)
+// TestAgentKeyWithoutSnapshotFails pins the loud failure fig10 relies on:
+// an agent-keyed job whose store lacks the snapshot fails on both runners
+// with an error naming the key, and never runs as a plain simulation.
+func TestAgentKeyWithoutSnapshotFails(t *testing.T) {
+	cells := fig10StyleCells(t, []string{"spin"})
+	agentKey, err := cells[0].spec.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != len(jobs) {
-		t.Fatalf("%d outcomes for %d jobs", len(outs), len(jobs))
+	check := func(leg string, outs []*Outcome, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: hybrid job without a snapshot succeeded", leg)
+		}
+		for _, o := range outs {
+			if o.Job.AgentKey == "" {
+				if o.Err != nil {
+					t.Fatalf("%s: plain job failed: %v", leg, o.Err)
+				}
+				continue
+			}
+			if o.Err == nil || !strings.Contains(o.Err.Error(), "no trained-agent snapshot under "+agentKey) {
+				t.Fatalf("%s: hybrid job error %v, want one naming snapshot %s", leg, o.Err, agentKey)
+			}
+		}
 	}
-	st := q.Stats()
-	if st.LocalDone != 1 || st.LocalPending != 0 {
-		t.Fatalf("local fallback counters: %+v, want exactly 1 done", st)
-	}
-	if st.Done != len(jobs)-1 {
-		t.Fatalf("leased cells done = %d, want %d", st.Done, len(jobs)-1)
-	}
+
+	outs, err := (&Pool{Workers: 1, Store: NewMemStore()}).Run(context.Background(), fig10StyleJobs(t, cells, 1, nil), nil)
+	check("pool", outs, err)
+
+	store := NewMemStore()
+	q := NewWorkQueue(time.Minute)
+	q.Store = store
+	q.SetMaxAttempts(1)
+	srv := startCoordinator(t, q, store)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &Worker{Coordinator: srv.URL + "/work", ID: "no-agents", Max: 1, Poll: 2 * time.Millisecond}
+	go w.Run(ctx)
+	runner := &RemoteRunner{Queue: q, Store: store}
+	outs, err = runner.Run(context.Background(), fig10StyleJobs(t, fig10StyleCells(t, []string{"spin"}), 1, nil), nil)
+	check("remote", outs, err)
 }

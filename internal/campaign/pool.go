@@ -42,6 +42,25 @@ type Outcome struct {
 	SimCycles uint64 // core cycles across the run's checkpoints
 }
 
+// progress is the event reporting o as the done-th of total finished jobs.
+func (o *Outcome) progress(done, total int) Progress {
+	p := Progress{
+		JobIndex:  o.Job.Index,
+		Label:     o.Job.Label,
+		Done:      done,
+		Total:     total,
+		Worker:    o.Worker,
+		CacheHit:  o.CacheHit,
+		WallS:     o.WallS,
+		SimInstr:  o.SimInstr,
+		SimCycles: o.SimCycles,
+	}
+	if o.Err != nil {
+		p.Err = o.Err.Error()
+	}
+	return p
+}
+
 // resultWork extracts a result's simulated-work totals.
 func resultWork(r *sim.Result) (instr, cycles uint64) {
 	if r == nil {
@@ -84,33 +103,14 @@ func (p *Pool) Run(ctx context.Context, jobs []*Job, onProgress func(Progress)) 
 	var (
 		progMu sync.Mutex
 		done   int
-		excl   sync.Map // exclusive tag -> *sync.Mutex
 	)
 	report := func(o *Outcome) {
 		progMu.Lock()
+		defer progMu.Unlock()
 		done++
-		n := done
-		progMu.Unlock()
-		if onProgress == nil {
-			return
+		if onProgress != nil {
+			onProgress(o.progress(done, len(jobs)))
 		}
-		pr := Progress{
-			JobIndex:  o.Job.Index,
-			Label:     o.Job.Label,
-			Done:      n,
-			Total:     len(jobs),
-			Worker:    o.Worker,
-			CacheHit:  o.CacheHit,
-			WallS:     o.WallS,
-			SimInstr:  o.SimInstr,
-			SimCycles: o.SimCycles,
-		}
-		if o.Err != nil {
-			pr.Err = o.Err.Error()
-		}
-		progMu.Lock()
-		onProgress(pr)
-		progMu.Unlock()
 	}
 
 	var wg sync.WaitGroup
@@ -123,7 +123,7 @@ func (p *Pool) Run(ctx context.Context, jobs []*Job, onProgress func(Progress)) 
 					outs[i] = &Outcome{Job: jobs[i], Err: err, Worker: w}
 					continue
 				}
-				outs[i] = p.runOne(jobs[i], w, &excl)
+				outs[i] = p.runOne(jobs[i], w)
 				report(outs[i])
 			}
 		}(w)
@@ -141,7 +141,7 @@ func (p *Pool) Run(ctx context.Context, jobs []*Job, onProgress func(Progress)) 
 
 // runOne executes one job: cache lookup, simulation with retries, cache
 // fill.
-func (p *Pool) runOne(j *Job, worker int, excl *sync.Map) *Outcome {
+func (p *Pool) runOne(j *Job, worker int) *Outcome {
 	start := time.Now()
 	o := &Outcome{Job: j, Worker: worker}
 	key, cacheable := j.Key()
@@ -164,12 +164,6 @@ func (p *Pool) runOne(j *Job, worker int, excl *sync.Map) *Outcome {
 		// Agent-keyed hybrid jobs resolve their snapshot at execution time;
 		// default to the pool's own store (where TrainCell banked it).
 		j.Agents = p.Store
-	}
-	if j.Exclusive != "" {
-		muAny, _ := excl.LoadOrStore(j.Exclusive, &sync.Mutex{})
-		mu := muAny.(*sync.Mutex)
-		mu.Lock()
-		defer mu.Unlock()
 	}
 	execStart := time.Now()
 	for attempt := 0; ; attempt++ {

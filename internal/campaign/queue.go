@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -127,15 +130,6 @@ type WorkQueue struct {
 	duplicates uint64
 	renewals   uint64
 
-	// Cells the RemoteRunner routed to the coordinator's local fallback
-	// pool (non-wireable jobs). They never enter the lease machinery, but
-	// /work/status must still count them or a partial-fleet operator reads
-	// "nothing pending, nothing leased" while the coordinator is quietly
-	// simulating.
-	localPending int
-	localDone    uint64
-	localErrors  uint64
-
 	// Sweeper bookkeeping for /readyz: every entry point sweeps, so
 	// lastSweep advances with traffic as well as with the ticker.
 	sweeperOn     bool
@@ -224,22 +218,16 @@ type WorkerStatus struct {
 	drainDeadline time.Time
 }
 
-// QueueStats is the aggregate queue snapshot. The Local* counters cover
-// cells the RemoteRunner executed on the coordinator's fallback pool
-// (non-wireable jobs), so partial-fleet progress adds up:
-// Done + LocalDone is every finished cell, leased or not.
+// QueueStats is the aggregate queue snapshot.
 type QueueStats struct {
-	Pending      int            `json:"pending"`
-	Leased       int            `json:"leased"`
-	Done         int            `json:"done"`
-	Requeues     uint64         `json:"requeues"`
-	Rejects      uint64         `json:"rejects"`
-	Duplicates   uint64         `json:"duplicates"`
-	Renewals     uint64         `json:"renewals"`
-	LocalPending int            `json:"local_pending"`
-	LocalDone    uint64         `json:"local_done"`
-	LocalErrors  uint64         `json:"local_errors"`
-	Workers      []WorkerStatus `json:"workers"`
+	Pending    int            `json:"pending"`
+	Leased     int            `json:"leased"`
+	Done       int            `json:"done"`
+	Requeues   uint64         `json:"requeues"`
+	Rejects    uint64         `json:"rejects"`
+	Duplicates uint64         `json:"duplicates"`
+	Renewals   uint64         `json:"renewals"`
+	Workers    []WorkerStatus `json:"workers"`
 }
 
 // DefaultLeaseTTL is how long a worker holds a cell before the coordinator
@@ -543,14 +531,37 @@ func (q *WorkQueue) CompleteSpans(workerID, key string, data []byte, workerErr s
 
 // validateWireResult checks a submission's bytes against a cell kind's
 // canonical form: simulation cells must decode as sim results, training
-// cells must be trained-agent snapshots whose agent restores.
+// cells must be trained-agent snapshots whose agent restores, and either
+// must re-encode to exactly the bytes sent. The store hands its bytes out
+// verbatim on every warm run, so a result that decodes but is not
+// canonical (surrounding whitespace, unknown fields) is refused, not
+// banked (DESIGN.md invariant 5).
 func validateWireResult(kind string, data []byte) error {
+	var canon []byte
 	if kind == KindTrain {
-		_, err := restoreTrained(data)
-		return err
+		snap, err := decodeSnapshot(data)
+		if err != nil {
+			return err
+		}
+		if _, err := snap.restore(); err != nil {
+			return err
+		}
+		if canon, err = json.Marshal(snap); err != nil {
+			return err
+		}
+	} else {
+		res, err := sim.DecodeResult(data)
+		if err != nil {
+			return err
+		}
+		if canon, err = sim.EncodeResult(res); err != nil {
+			return err
+		}
 	}
-	_, err := sim.DecodeResult(data)
-	return err
+	if !bytes.Equal(canon, data) {
+		return errors.New("campaign: result bytes are not in canonical form")
+	}
+	return nil
 }
 
 // Renew extends the leases workerID currently holds on keys to now+TTL and
@@ -823,31 +834,6 @@ func (q *WorkQueue) Fleet() FleetStatus {
 	return out
 }
 
-// noteLocalStart / noteLocalDone / noteLocalAbandoned account for cells the
-// RemoteRunner routes to the coordinator's fallback pool. Abandoned cells
-// are those a cancelled run never finished reporting.
-func (q *WorkQueue) noteLocalStart(n int) {
-	q.mu.Lock()
-	q.localPending += n
-	q.mu.Unlock()
-}
-
-func (q *WorkQueue) noteLocalDone(errored bool) {
-	q.mu.Lock()
-	q.localPending--
-	q.localDone++
-	if errored {
-		q.localErrors++
-	}
-	q.mu.Unlock()
-}
-
-func (q *WorkQueue) noteLocalAbandoned(n int) {
-	q.mu.Lock()
-	q.localPending -= n
-	q.mu.Unlock()
-}
-
 // Sweep re-queues expired leases immediately (normally this happens lazily
 // on Lease/Complete; the coordinator may also tick it so expiry does not
 // wait for traffic).
@@ -1000,16 +986,13 @@ func (q *WorkQueue) Stats() QueueStats {
 	st := QueueStats{
 		// cells holds exactly the pending and leased population (done
 		// cells are evicted), so the split needs no scan.
-		Pending:      len(q.cells) - len(q.leased),
-		Leased:       len(q.leased),
-		Done:         q.done,
-		Requeues:     q.requeues,
-		Rejects:      q.rejects,
-		Duplicates:   q.duplicates,
-		Renewals:     q.renewals,
-		LocalPending: q.localPending,
-		LocalDone:    q.localDone,
-		LocalErrors:  q.localErrors,
+		Pending:    len(q.cells) - len(q.leased),
+		Leased:     len(q.leased),
+		Done:       q.done,
+		Requeues:   q.requeues,
+		Rejects:    q.rejects,
+		Duplicates: q.duplicates,
+		Renewals:   q.renewals,
 	}
 	ids := make([]string, 0, len(q.workers))
 	for id := range q.workers {

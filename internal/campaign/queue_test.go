@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -160,6 +161,82 @@ func TestTrainResultValidatedAsSnapshot(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("waiter invoked %d times", calls.Load())
+	}
+}
+
+// TestNonCanonicalResultRejected pins invariant 5 at the queue: a
+// submission that decodes but is not byte-for-byte canonical — the
+// canonical result wrapped in whitespace, or carrying an unknown field —
+// is rejected on the held-cell path and never banked on the unknown-key
+// path, for simulation and training cells alike. Neither the waiter nor
+// the store ever sees the bytes.
+func TestNonCanonicalResultRejected(t *testing.T) {
+	simCell := wireJobs(t, 1)[0]
+	trainCell := wireTrainCell(t, 35)
+	ts, err := trainCell.TrainSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := NewMemStore()
+	if _, err := TrainCell(trained, ts); err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := trained.Get(trainCell.Key)
+	if !ok {
+		t.Fatal("training did not bank a snapshot")
+	}
+	for _, kind := range []struct {
+		name  string
+		cell  *WireJob
+		canon []byte
+	}{
+		{"sim", simCell, validResult(t, simCell)},
+		{"train", trainCell, snap},
+	} {
+		for _, mut := range []struct {
+			name string
+			data []byte
+		}{
+			{"whitespace", append(append([]byte(" \n"), kind.canon...), '\n')},
+			{"unknown-field", append([]byte(`{"zz":1,`), kind.canon[1:]...)},
+		} {
+			t.Run(kind.name+"/"+mut.name, func(t *testing.T) {
+				if err := validateWireResult(kind.cell.Kind, kind.canon); err != nil {
+					t.Fatalf("canonical bytes rejected: %v", err)
+				}
+				store := NewMemStore()
+				q := NewWorkQueue(time.Minute)
+				fakeClock(q)
+				q.Store = store
+				var calls atomic.Int32
+				q.Enqueue(kind.cell, func([]byte, error) { calls.Add(1) })
+				q.Lease("w1", 1)
+				if st := q.Complete("w1", kind.cell.Key, mut.data, ""); st != CompleteRejected {
+					t.Fatalf("held cell: %v (want rejected)", st)
+				}
+				if calls.Load() != 0 {
+					t.Fatal("waiter saw non-canonical bytes")
+				}
+				if _, ok := store.Get(kind.cell.Key); ok {
+					t.Fatal("held cell: non-canonical bytes banked")
+				}
+
+				// The unknown-key banking path applies the same check.
+				bank := NewMemStore()
+				q2 := NewWorkQueue(time.Minute)
+				q2.Store = bank
+				if st := q2.Complete("w1", kind.cell.Key, mut.data, ""); st != CompleteUnknown {
+					t.Fatalf("unknown key: %v", st)
+				}
+				if _, ok := bank.Get(kind.cell.Key); ok {
+					t.Fatal("unknown key: non-canonical bytes banked")
+				}
+				q2.Complete("w1", kind.cell.Key, kind.canon, "")
+				if got, ok := bank.Get(kind.cell.Key); !ok || !bytes.Equal(got, kind.canon) {
+					t.Fatal("unknown key: canonical bytes not banked")
+				}
+			})
+		}
 	}
 }
 

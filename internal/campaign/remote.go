@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"astro/internal/sim"
@@ -21,15 +20,12 @@ import (
 //   - cache: the shared store is consulted first, exactly like Pool — a
 //     warm store means nothing is ever enqueued, so a warm re-run through
 //     workers performs zero fresh simulations anywhere.
-//   - wireable jobs — including hybrid-by-agent-key jobs, whose trained
-//     agent travels by content key through the agent exchange — are
-//     enqueued; the queue deduplicates by key, leases cells to whichever
-//     workers poll, re-issues expired leases, and validates results before
-//     this runner stores them.
-//   - non-wireable jobs (in-process Hybrid policy factories) run on the
-//     Local fallback pool concurrently with the remote cells, and are
-//     counted into the queue's Local* status counters so /work/status
-//     reflects the whole campaign, not just the leased part.
+//   - every other job is wired and enqueued — hybrid jobs included, whose
+//     trained agent travels by content key through the agent exchange; the
+//     queue deduplicates by key, leases cells to whichever workers poll,
+//     re-issues expired leases, and validates results before this runner
+//     stores them. A job that does not wire (no module, or the deprecated
+//     Hybrid factory) fails at its index; nothing runs on the coordinator.
 //
 // Train is the training counterpart: training cells lease out exactly like
 // simulation cells (WireJob kind "train"), workers push the finished
@@ -45,7 +41,7 @@ import (
 type RemoteRunner struct {
 	Queue *WorkQueue
 	Store ResultStore // shared result store, consulted before leasing
-	Local Pool        // fallback for non-wireable jobs (and everything, when Queue is nil)
+	Local Pool        // runs everything when Queue is nil
 
 	// Deprecated: ShipPrograms is ignored. Workers compile the module of
 	// every cell they lease, exactly as the in-process Pool does.
@@ -65,37 +61,19 @@ func (r *RemoteRunner) Run(ctx context.Context, jobs []*Job, onProgress func(Pro
 		progMu sync.Mutex
 		done   int
 	)
-	reportP := func(p Progress) {
-		progMu.Lock()
-		done++
-		p.Done, p.Total = done, len(jobs)
-		if onProgress != nil {
-			onProgress(p)
-		}
-		progMu.Unlock()
-	}
 	report := func(o *Outcome) {
-		pr := Progress{
-			JobIndex:  o.Job.Index,
-			Label:     o.Job.Label,
-			Worker:    o.Worker,
-			CacheHit:  o.CacheHit,
-			WallS:     o.WallS,
-			SimInstr:  o.SimInstr,
-			SimCycles: o.SimCycles,
+		progMu.Lock()
+		defer progMu.Unlock()
+		done++
+		if onProgress != nil {
+			onProgress(o.progress(done, len(jobs)))
 		}
-		if o.Err != nil {
-			pr.Err = o.Err.Error()
-		}
-		reportP(pr)
 	}
 
 	var (
 		wg        sync.WaitGroup
 		cancels   []func() bool
 		remoteIdx []int
-		localJobs []*Job
-		localIdx  []int
 	)
 	for i, j := range jobs {
 		key, cacheable := j.Key()
@@ -114,9 +92,9 @@ func (r *RemoteRunner) Run(ctx context.Context, jobs []*Job, onProgress func(Pro
 		}
 		wire, err := j.Wire()
 		if err != nil {
-			// Not wireable (hybrid factory, uncacheable): local fallback.
-			localJobs = append(localJobs, j)
-			localIdx = append(localIdx, i)
+			o := &Outcome{Job: j, Err: err, Worker: -1}
+			outs[i] = o
+			report(o)
 			continue
 		}
 		wire.Campaign = CampaignIDFromContext(ctx) // trace annotation; inert
@@ -146,25 +124,6 @@ func (r *RemoteRunner) Run(ctx context.Context, jobs []*Job, onProgress func(Pro
 		})
 		cancels = append(cancels, cancel)
 		remoteIdx = append(remoteIdx, i)
-	}
-
-	// Non-wireable jobs execute locally while workers chew on the leased
-	// cells; their outcomes land at their original indices so job order —
-	// and therefore the result-set fingerprint — is preserved. The queue's
-	// Local* counters track them so fleet status adds up (a cancelled run
-	// settles the cells its pool never reported).
-	if len(localJobs) > 0 {
-		r.Queue.noteLocalStart(len(localJobs))
-		var reported atomic.Int64
-		localOuts, _ := r.Local.Run(ctx, localJobs, func(p Progress) {
-			reported.Add(1)
-			r.Queue.noteLocalDone(p.Err != "")
-			reportP(p)
-		})
-		r.Queue.noteLocalAbandoned(len(localJobs) - int(reported.Load()))
-		for k, o := range localOuts {
-			outs[localIdx[k]] = o
-		}
 	}
 
 	waitCh := make(chan struct{})

@@ -117,6 +117,25 @@ type trainedSnapshot struct {
 // Trained — the warm-cache path, the queue's train-result validation, the
 // agent exchange and agent-keyed jobs all trust exactly this check.
 func restoreTrained(data []byte) (*Trained, error) {
+	snap, err := decodeSnapshot(data)
+	if err != nil {
+		return nil, err
+	}
+	return snap.restore()
+}
+
+// restore rebuilds the snapshot's agent.
+func (snap *trainedSnapshot) restore() (*Trained, error) {
+	agent, err := snap.Agent.Restore()
+	if err != nil {
+		return nil, fmt.Errorf("campaign: trained-agent snapshot does not restore: %w", err)
+	}
+	return &Trained{Agent: agent, Visits: snap.Visits, Stats: snap.Stats}, nil
+}
+
+// decodeSnapshot parses stored training-cell bytes without restoring the
+// agent.
+func decodeSnapshot(data []byte) (*trainedSnapshot, error) {
 	var snap trainedSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("campaign: not a trained-agent snapshot: %w", err)
@@ -124,11 +143,7 @@ func restoreTrained(data []byte) (*Trained, error) {
 	if snap.Agent == nil {
 		return nil, fmt.Errorf("campaign: trained-agent snapshot has no agent")
 	}
-	agent, err := snap.Agent.Restore()
-	if err != nil {
-		return nil, fmt.Errorf("campaign: trained-agent snapshot does not restore: %w", err)
-	}
-	return &Trained{Agent: agent, Visits: snap.Visits, Stats: snap.Stats}, nil
+	return &snap, nil
 }
 
 // TrainCell trains one cell, consulting store first (nil store trains

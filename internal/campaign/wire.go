@@ -34,11 +34,6 @@ const (
 // plus the Train block for the agent recipe; their result bytes are the
 // trained-agent snapshot itself, keyed exactly like the in-process
 // trained-agent cache.
-//
-// The only jobs that cannot cross the wire are those carrying an
-// in-process Hybrid policy factory — arbitrary behaviour with no
-// declarative identity — which RemoteRunner routes to its local fallback
-// pool instead.
 type WireJob struct {
 	Kind      string `json:"kind,omitempty"` // KindSim or KindTrain
 	Index     int    `json:"index"`
@@ -91,16 +86,16 @@ type WireTrain struct {
 	Episodes int          `json:"episodes,omitempty"`
 }
 
-// Wire serializes the job for remote execution. Jobs with a Hybrid factory
-// or an unfingerprintable option set are not wireable; agent-keyed hybrid
-// jobs are (the snapshot travels separately, by content key, through the
-// agent exchange).
+// Wire serializes the job for remote execution. A job with the deprecated
+// Hybrid factory or an unfingerprintable option set is refused; agent-keyed
+// hybrid jobs wire (the snapshot travels separately, by content key,
+// through the agent exchange).
 func (j *Job) Wire() (*WireJob, error) {
 	if j.Module == nil {
 		return nil, fmt.Errorf("campaign: job %d (%s) has no module", j.Index, j.Label)
 	}
 	if j.Hybrid != nil {
-		return nil, fmt.Errorf("campaign: job %d (%s) carries an in-process hybrid policy; not wireable", j.Index, j.Label)
+		return nil, j.refuseHybrid()
 	}
 	if j.Opts.OS != nil || j.Opts.Actuator != nil || j.Opts.Hybrid != nil {
 		return nil, fmt.Errorf("campaign: job %d (%s): set policies by name, not in Opts", j.Index, j.Label)

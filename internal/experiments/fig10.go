@@ -9,7 +9,6 @@ import (
 	"astro/internal/ir"
 	"astro/internal/rl"
 	"astro/internal/sched"
-	"astro/internal/sim"
 	"astro/internal/stats"
 	"astro/internal/tablefmt"
 )
@@ -69,10 +68,12 @@ const (
 //     store: a warm-cache re-run restores the agents instead of
 //     re-training (the former ~30s residual of a warm paper suite).
 //  2. Sampling: the 7 benchmarks x 3 treatments x n samples form one
-//     campaign batch on the shared runner. Hybrid jobs are declarative —
-//     they name their trained agent by snapshot content key (AgentKey), so
-//     they are cacheable, wireable to remote workers, and free of the
-//     Exclusive serialization the old in-process factory form needed.
+//     campaign batch on the shared runner. Hybrid jobs name their trained
+//     agent by snapshot content key (AgentKey), so they are cacheable and
+//     wireable to remote workers. Training banks that snapshot in the
+//     shared store; a store that did not keep it (a failed write, an
+//     eviction) fails the hybrid cells with "no trained-agent snapshot
+//     under <key>" rather than running them some other way.
 func Fig10(sc Scale) (*Fig10Result, error) {
 	n := samplesFor(sc)
 	plat := hw.OdroidXU4()
@@ -111,9 +112,8 @@ func Fig10(sc Scale) (*Fig10Result, error) {
 	starts := make([]int, len(fig10Benchmarks))
 	for i, name := range fig10Benchmarks {
 		art := arts[i]
-		agent := trained[i].Agent
 		args := argsFor(sc, art.spec)
-		pol := sched.ExtractPolicyVisited(agent, plat, trained[i].Visits)
+		pol := sched.ExtractPolicyVisited(trained[i].Agent, plat, trained[i].Visits)
 		staticMod, err := art.static(plat, pol)
 		if err != nil {
 			return nil, fmt.Errorf("fig10: %s: %w", name, err)
@@ -129,14 +129,6 @@ func Fig10(sc Scale) (*Fig10Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig10: %s: %w", name, err)
 		}
-		// The declarative form needs the snapshot in the store. TrainCell's
-		// cache fill is best-effort (a full disk must not fail training), so
-		// if the bytes are missing, fall back to the in-process factory
-		// around the live agent — under the *same* content key ("agent:" +
-		// snapshot key is exactly what an agent-keyed job hashes), so the
-		// degraded run stays cacheable and byte-identical, it merely cannot
-		// lease its hybrid cells out.
-		_, haveSnapshot := Store().Get(agentKey)
 		starts[i] = len(jobs)
 		addJobs := func(kind string, mod *ir.Module, hybrid bool) {
 			for s := 0; s < n; s++ {
@@ -151,21 +143,8 @@ func Fig10(sc Scale) (*Fig10Result, error) {
 					Opts:      simOpts(sc, 0),
 				}
 				if hybrid {
-					if haveSnapshot {
-						j.AgentKey = agentKey
-						j.Agents = Store()
-					} else {
-						j.Hybrid = func() sim.HybridPolicy {
-							hr := sched.NewHybridRuntime(agent, plat)
-							hr.Policy = pol
-							return hr
-						}
-						j.HybridKey = "agent:" + agentKey
-						// The shared live agent reuses inference scratch;
-						// serialize its samples (restored snapshots need no
-						// such tag — each execution gets a private agent).
-						j.Exclusive = "fig10-hybrid/" + name
-					}
+					j.AgentKey = agentKey
+					j.Agents = Store()
 				}
 				jobs = append(jobs, j)
 			}

@@ -11,7 +11,7 @@ package sim
 //
 //	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine' -benchmem -benchtime 0.5s -count 3 ./internal/sim/
 //	 go test -run '^$' -bench 'BenchmarkObserve' -benchmem -benchtime 0.5s -count 3 ./internal/rl/) \
-//	  | go run ./cmd/astro-bench -o BENCH_13.json -prev BENCH_12.json -max-regress 15
+//	  | go run ./cmd/astro-bench -o BENCH_14.json -prev BENCH_13.json -max-regress 15
 
 import (
 	"testing"
