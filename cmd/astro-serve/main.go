@@ -65,10 +65,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "astro-serve:", err)
 		os.Exit(1)
 	}
-	// Background compaction keeps each shard's keys.idx honest about
-	// evictions without ever blocking writers.
-	stopCompact := store.StartCompactor(0)
-
 	queue := campaign.NewWorkQueue(*leaseTTL)
 	queue.Store = store // keep late results of cancelled campaigns
 	closeJournal := func() {}
@@ -103,7 +99,6 @@ func main() {
 	select {
 	case err := <-errc:
 		stopSweep()
-		stopCompact()
 		closeJournal()
 		if err != nil && err != http.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "astro-serve:", err)
@@ -114,7 +109,6 @@ func main() {
 		// (SSE streams aside) finish, then exit.
 		fmt.Fprintln(os.Stderr, "astro-serve: shutting down")
 		stopSweep()
-		stopCompact()
 		shCtx, done := context.WithTimeout(context.Background(), 5*time.Second)
 		defer done()
 		srv.Shutdown(shCtx)

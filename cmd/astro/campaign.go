@@ -72,7 +72,7 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	store, err := campaign.OpenStore(*cacheDir)
+	store, err := campaign.NewShardedStore(*cacheDir, 0)
 	if err != nil {
 		return err
 	}

@@ -27,7 +27,7 @@ func cmdJournal(args []string) error {
 		return fmt.Errorf("usage: astro journal replay [-store dir] <journal-dir>")
 	}
 	fs := flag.NewFlagSet("journal replay", flag.ContinueOnError)
-	storeDir := fs.String("store", "", "result-store directory to audit journaled completions against (plain or sharded, auto-detected)")
+	storeDir := fs.String("store", "", "existing result-store directory to audit journaled completions against (its shard count is read from INDEX.json)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}

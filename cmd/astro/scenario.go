@@ -156,7 +156,7 @@ func scenarioSweep(args []string, reportOnly bool) error {
 	if err != nil {
 		return err
 	}
-	store, err := campaign.OpenStore(*cacheDir)
+	store, err := campaign.NewShardedStore(*cacheDir, 0)
 	if err != nil {
 		return err
 	}

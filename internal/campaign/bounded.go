@@ -25,10 +25,8 @@ import (
 //
 // The safety contract for all of it is DESIGN.md invariant 11: eviction
 // may force recomputation, never corruption. Nothing here rewrites
-// bytes; the only mutations are "remove a whole entry" (crash-safe: the
-// entry is either fully present or absent) and "rewrite keys.idx
-// atomically" (compaction, via the same writeFileAtomic discipline as
-// values).
+// bytes; the only mutation is "remove a whole entry" (crash-safe: the
+// entry is either fully present or absent).
 
 // StoreConfig bounds a disk-backed store. The zero value means
 // unbounded; negative caps are refused.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
@@ -242,7 +241,7 @@ func TestBoundedStoreReopenHonorsLoweredCap(t *testing.T) {
 
 // TestBoundedStoreProperty is the seeded eviction + refcount state
 // machine on a one-shard store: randomized interleavings of
-// Put/Get/Pin/Unpin/Compact against a capped store, with a shadow model
+// Put/Get/Pin/Unpin/Keys against a capped store, with a shadow model
 // (see runBoundedProperty).
 func TestBoundedStoreProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
@@ -268,9 +267,8 @@ func TestShardedBoundedProperty(t *testing.T) {
 //   - the store's byte accounting equals the bytes actually on disk;
 //   - a shard sits over its cap only when every entry left in it was
 //     pinned (eviction skips pins and may evict nothing else);
-//   - Compact never loses a live key from the index: afterwards Keys()
-//     enumerates precisely the keys whose files are live, each
-//     byte-exact.
+//   - Keys() enumerates precisely the keys whose files are live, at any
+//     step and at the end, each byte-exact.
 func runBoundedProperty(t *testing.T, seed int64, shards, universe, steps int, cfg StoreConfig) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
@@ -312,9 +310,7 @@ func runBoundedProperty(t *testing.T, seed int64, shards, universe, steps int, c
 				delete(mustStay, key)
 			}
 		default:
-			if err := s.Compact(); err != nil {
-				t.Fatal(err)
-			}
+			assertKeysAreFiles(t, s, dir, ref)
 		}
 		for k, n := range pinned {
 			if n == 0 {
@@ -328,15 +324,10 @@ func runBoundedProperty(t *testing.T, seed int64, shards, universe, steps int, c
 			}
 		}
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-
 	occ := s.Occupancy()
 	if occ.CapBytes != cfg.MaxBytes {
 		t.Fatalf("summed shard caps = %d, want %d", occ.CapBytes, cfg.MaxBytes)
 	}
-	files := filesOf(t, dir)
 	bytesOnDisk, keysOnDisk := diskBytesOf(t, dir)
 	if occ.DiskBytes != bytesOnDisk || occ.DiskKeys != keysOnDisk {
 		t.Fatalf("accounting diverged: store says %d bytes/%d keys, disk holds %d/%d",
@@ -352,13 +343,22 @@ func runBoundedProperty(t *testing.T, seed int64, shards, universe, steps int, c
 			}
 		}
 	}
+	assertKeysAreFiles(t, s, dir, ref)
+}
+
+// assertKeysAreFiles checks that s.Keys() is exactly the set of live
+// value files under dir, and that Get serves each with its reference
+// bytes.
+func assertKeysAreFiles(t *testing.T, s *ShardedStore, dir string, ref map[string][]byte) {
+	t.Helper()
+	files := filesOf(t, dir)
 	keys := s.Keys()
 	if len(keys) != len(files) {
-		t.Fatalf("index enumerates %d keys, disk holds %d", len(keys), len(files))
+		t.Fatalf("Keys enumerates %d keys, disk holds %d", len(keys), len(files))
 	}
 	for _, k := range keys {
 		if _, live := files[k]; !live {
-			t.Fatalf("index enumerates %s, which has no live file", k[:8])
+			t.Fatalf("Keys enumerates %s, which has no live file", k[:8])
 		}
 		if got, ok := s.Get(k); !ok || !bytes.Equal(got, ref[k]) {
 			t.Fatalf("surviving key %s unreadable or corrupted (ok=%v)", k[:8], ok)
@@ -366,12 +366,13 @@ func runBoundedProperty(t *testing.T, seed int64, shards, universe, steps int, c
 	}
 }
 
-// TestShardedCompactionCrashSafety pins the two crash shapes around
-// keys.idx: a torn tail from a crash mid-append is repaired on reopen,
-// and a crash mid-compaction (stale temp file beside the index, old
-// index still in place) leaves a store that reopens, compacts cleanly,
-// and sweeps the stray.
-func TestShardedCompactionCrashSafety(t *testing.T) {
+// TestShardedStaleTempSweep pins the cleanup of failed atomic writes: a
+// crash between writeFileAtomic's create and its rename leaves a .tmp*
+// file, at the shard level or in a fan-out directory. The walks the
+// store makes — Keys, and a capped open's scan — remove such files once
+// they are older than a minute, leave younger ones (possibly in-flight
+// writes) alone, and never count either as a key.
+func TestShardedStaleTempSweep(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewShardedStore(dir, 2)
 	if err != nil {
@@ -385,51 +386,51 @@ func TestShardedCompactionCrashSafety(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// Crash mid-append: torn final line on one shard's index.
-	idx0 := filepath.Join(dir, "shard-00", "keys.idx")
-	f, err := os.OpenFile(idx0, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(strings.Repeat("f", 30)) // half a key, no newline
-	f.Close()
-
-	// Crash mid-compaction: writeFileAtomic died before the rename —
-	// old index intact, orphan temp file beside it.
-	stray := filepath.Join(dir, "shard-01", ".tmp-orphan")
-	if err := os.WriteFile(stray, []byte("partial index"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	old := time.Now().Add(-2 * time.Minute)
-	os.Chtimes(stray, old, old)
-
-	s2, err := NewShardedStore(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Len(); got != 12 {
-		t.Fatalf("reopened Len = %d, want 12 (torn tail not repaired?)", got)
-	}
-	if err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// The compacted index round-trips: a third open enumerates exactly
-	// the live keys, and every value survives byte-exact.
-	s3, err := NewShardedStore(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s3.Len(); got != 12 {
-		t.Fatalf("post-compaction Len = %d, want 12", got)
-	}
-	for i, k := range keys {
-		if got, ok := s3.Get(k); !ok || !bytes.Equal(got, valFor(i, 40)) {
-			t.Fatalf("key %d unreadable after crash drill (ok=%v)", i, ok)
+	strays := func() (stale, young []string) {
+		for _, p := range []string{
+			filepath.Join(dir, "shard-01", ".tmp-orphan"),
+			filepath.Join(filepath.Dir(valuePath(s, keys[0])), ".tmp-orphan"),
+		} {
+			if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			os.Chtimes(p, old, old)
+			stale = append(stale, p)
 		}
+		p := filepath.Join(dir, "shard-00", ".tmp-inflight")
+		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return stale, append(young, p)
 	}
-	if _, err := os.Stat(stray); err == nil {
-		t.Fatal("compaction left the stale mid-compaction temp file behind")
+	for name, open := range map[string]func() (*ShardedStore, error){
+		"keys":        func() (*ShardedStore, error) { return NewShardedStore(dir, 2) },
+		"capped-open": func() (*ShardedStore, error) { return NewShardedStoreWith(dir, 2, StoreConfig{MaxBytes: 1 << 20}) },
+	} {
+		stale, young := strays()
+		s2, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s2.Keys(); len(got) != len(keys) {
+			t.Fatalf("%s: Keys = %d entries, want %d", name, len(got), len(keys))
+		}
+		for i, k := range keys {
+			if got, ok := s2.Get(k); !ok || !bytes.Equal(got, valFor(i, 40)) {
+				t.Fatalf("%s: key %d unreadable after the sweep (ok=%v)", name, i, ok)
+			}
+		}
+		for _, p := range stale {
+			if _, err := os.Stat(p); err == nil {
+				t.Fatalf("%s: stale temp file %s left behind", name, p)
+			}
+		}
+		for _, p := range young {
+			if _, err := os.Stat(p); err != nil {
+				t.Fatalf("%s: young temp file %s swept: %v", name, p, err)
+			}
+		}
 	}
 }
 

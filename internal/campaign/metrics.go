@@ -18,20 +18,18 @@ var (
 	hStoreGet    = telemetry.Default.Histogram("astro_store_get_seconds", "Store.Get latency (both tiers).", nil)
 	hStorePut    = telemetry.Default.Histogram("astro_store_put_seconds", "Store.Put latency (memory + crash-safe disk write).", nil)
 
-	// Bounded-store machinery: hot cache, disk caps, pins, compaction
+	// Bounded-store machinery: hot cache, disk caps, pins
 	// (see bounded.go and DESIGN.md invariant 11).
-	cHotHits            = telemetry.Default.Counter(`astro_store_hot_total{result="hit"}`, "Hot-cache lookups by outcome.")
-	cHotMisses          = telemetry.Default.Counter(`astro_store_hot_total{result="miss"}`, "Hot-cache lookups by outcome.")
-	cHotEvictions       = telemetry.Default.Counter("astro_store_hot_evictions_total", "Entries evicted from the hot in-memory cache.")
-	gHotBytes           = telemetry.Default.Gauge("astro_store_hot_bytes", "Bytes resident in the hot in-memory cache.")
-	cStoreDiskWrites    = telemetry.Default.Counter("astro_store_disk_writes_total", "Value files written to the disk tier (one per unique key).")
-	cStorePutNoops      = telemetry.Default.Counter("astro_store_put_noops_total", "Puts of already-stored keys skipped without a disk write.")
-	cStoreEvictions     = telemetry.Default.Counter("astro_store_evictions_total", "Disk-tier entries evicted to honour the byte cap.")
-	gStoreDiskBytes     = telemetry.Default.Gauge("astro_store_disk_bytes", "Value bytes resident in the disk tier.")
-	gStoreDiskKeys      = telemetry.Default.Gauge("astro_store_disk_keys", "Distinct keys resident in the disk tier.")
-	gStorePinnedKeys    = telemetry.Default.Gauge("astro_store_pinned_keys", "Content keys currently pinned against eviction.")
-	cStoreCompactions   = telemetry.Default.Counter("astro_store_compactions_total", "Shard index compactions completed.")
-	cStoreCompactErrors = telemetry.Default.Counter("astro_store_compact_errors_total", "Shard index compactions that failed (previous index left in place).")
+	cHotHits         = telemetry.Default.Counter(`astro_store_hot_total{result="hit"}`, "Hot-cache lookups by outcome.")
+	cHotMisses       = telemetry.Default.Counter(`astro_store_hot_total{result="miss"}`, "Hot-cache lookups by outcome.")
+	cHotEvictions    = telemetry.Default.Counter("astro_store_hot_evictions_total", "Entries evicted from the hot in-memory cache.")
+	gHotBytes        = telemetry.Default.Gauge("astro_store_hot_bytes", "Bytes resident in the hot in-memory cache.")
+	cStoreDiskWrites = telemetry.Default.Counter("astro_store_disk_writes_total", "Value files written to the disk tier (one per unique key).")
+	cStorePutNoops   = telemetry.Default.Counter("astro_store_put_noops_total", "Puts of already-stored keys skipped without a disk write.")
+	cStoreEvictions  = telemetry.Default.Counter("astro_store_evictions_total", "Disk-tier entries evicted to honour the byte cap.")
+	gStoreDiskBytes  = telemetry.Default.Gauge("astro_store_disk_bytes", "Value bytes resident in the disk tier.")
+	gStoreDiskKeys   = telemetry.Default.Gauge("astro_store_disk_keys", "Distinct keys resident in the disk tier.")
+	gStorePinnedKeys = telemetry.Default.Gauge("astro_store_pinned_keys", "Content keys currently pinned against eviction.")
 
 	// In-process pool economics.
 	cPoolHit  = telemetry.Default.Counter(`astro_pool_cells_total{result="hit"}`, "Pool cells by outcome.")
@@ -87,5 +85,5 @@ var (
 func shardGauge(i int) *telemetry.Gauge {
 	return telemetry.Default.Gauge(
 		fmt.Sprintf(`astro_store_shard_keys{shard="%02x"}`, i),
-		"Distinct keys resident per shard (memory + disk index).")
+		"Distinct disk-tier keys this process tracks per shard.")
 }

@@ -6,14 +6,12 @@ import "context"
 // through: canonical result bytes (simulation results, trained-agent
 // snapshots) addressed by content key. Implementations must be safe for
 // concurrent use; Get/Put must be coherent (a Put followed by a Get of the
-// same key returns the stored bytes). Store (single-directory),
-// ShardedStore (prefix-sharded with an on-disk index) and AgentExchange
-// (local tier backed by a coordinator over HTTP) implement it.
+// same key returns the stored bytes). ShardedStore (memory or
+// prefix-sharded disk) and AgentExchange (local tier backed by a
+// coordinator over HTTP) implement it.
 type ResultStore interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, data []byte) error
-	Len() int
-	Stats() (hits, misses, puts uint64)
 }
 
 // Runner executes a job batch and returns one outcome per job, in job

@@ -16,8 +16,9 @@ import (
 
 // shard is one partition of a ShardedStore: a memory tier and, when the
 // store has a directory, a disk tier laid out as <key[:2]>/<key>.json
-// under shard-XX/ plus the shard's keys.idx. The two-character fan-out
-// keeps directories small for hundred-thousand-job campaigns.
+// under shard-XX/. The value files are the only record of what the disk
+// tier holds; the two-character fan-out keeps directories small for
+// hundred-thousand-job campaigns.
 //
 // In a bounded store the disk tier holds at most maxBytes of value bytes,
 // evicting least-recently-used unpinned entries (the whole file — an
@@ -30,19 +31,12 @@ import (
 // which is how trained-agent snapshots referenced by live campaigns
 // survive any pressure.
 type shard struct {
-	s       *ShardedStore    // owner: shared hot cache, pin ledger, occupancy totals
-	dir     string           // "" = memory-only
-	idxPath string           // dir/keys.idx
-	gauge   *telemetry.Gauge // distinct keys in this shard; nil when memory-only
+	s     *ShardedStore    // owner: shared hot cache, pin ledger, occupancy totals
+	dir   string           // "" = memory-only
+	gauge *telemetry.Gauge // disk-tier keys tracked in this shard; nil when memory-only
 
-	// idxMu serializes keys.idx appends, eviction pruning and the
-	// compaction swap, so none of them holds mu across file I/O.
-	idxMu sync.Mutex
-
-	mu      sync.RWMutex
-	mem     map[string][]byte // unbounded memory tier (nil when s.hot is set)
-	indexed map[string]bool   // keys recorded in keys.idx (bounded: the open-time scan), pruned on eviction
-	nkeys   int               // |mem ∪ indexed|, kept incrementally for Len and the gauge
+	mu  sync.RWMutex
+	mem map[string][]byte // unbounded memory tier (nil when s.hot is set)
 
 	// Disk-tier accounting (dir != ""). disk maps every key known to be
 	// on disk to its LRU element; for unbounded stores it fills lazily
@@ -64,9 +58,9 @@ type diskEnt struct {
 	size int64
 }
 
-// openShard builds shard i, loading its disk tier when the store has a
-// directory: a bounded shard scans its files (the cap must hold over what
-// a previous process wrote), an unbounded one reads keys.idx.
+// openShard builds shard i. A bounded shard scans its files (the cap must
+// hold over what a previous process wrote); an unbounded one does no
+// per-key work and discovers earlier entries as Get and Put reach them.
 func (s *ShardedStore) openShard(i int, maxBytes int64) (*shard, error) {
 	sh := &shard{s: s}
 	if s.hot == nil {
@@ -79,17 +73,14 @@ func (s *ShardedStore) openShard(i int, maxBytes int64) (*shard, error) {
 	if err := os.MkdirAll(sh.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: store dir: %w", err)
 	}
-	sh.idxPath = filepath.Join(sh.dir, "keys.idx")
 	sh.gauge = shardGauge(i)
 	sh.maxBytes = maxBytes
-	sh.indexed = map[string]bool{}
 	sh.disk = map[string]*list.Element{}
 	sh.lru = list.New()
 	sh.writing = map[string]bool{}
 	if s.hot != nil {
 		return sh, sh.loadDiskTier()
 	}
-	sh.loadIndex()
 	return sh, nil
 }
 
@@ -98,8 +89,8 @@ func (sh *shard) path(key string) string {
 }
 
 // diskKey reports whether key can name a value file: lowercase hex, as
-// every content key is a SHA-256 digest, so no key (a mutated keys.idx
-// line included) can reach outside its fan-out directory.
+// every content key is a SHA-256 digest, so no key can reach outside its
+// fan-out directory.
 func diskKey(key string) bool {
 	if len(key) <= 2 {
 		return false
@@ -115,9 +106,8 @@ func diskKey(key string) bool {
 // loadDiskTier seeds a bounded shard's disk-tier accounting from the
 // files already present, ordered oldest-modified first so the LRU starts
 // with a sensible cold end, and evicts down to the cap if the directory
-// arrives over it (a cap lowered between runs). The scan is ground truth
-// for the key set too: stale index lines from evictions before the last
-// compaction must not resurrect phantom keys in Len/Keys.
+// arrives over it (a cap lowered between runs). Like Keys, the scan
+// sweeps temp files older than a minute.
 func (sh *shard) loadDiskTier() error {
 	type onDisk struct {
 		key   string
@@ -125,7 +115,7 @@ func (sh *shard) loadDiskTier() error {
 		mtime time.Time
 	}
 	var found []onDisk
-	err := walkShard(sh.dir, 0, func(key string, f os.DirEntry) {
+	err := walkShard(sh.dir, time.Minute, func(key string, f os.DirEntry) {
 		if fi, err := f.Info(); err == nil {
 			found = append(found, onDisk{key: key, size: fi.Size(), mtime: fi.ModTime()})
 		}
@@ -140,32 +130,8 @@ func (sh *shard) loadDiskTier() error {
 		sh.trackLocked(f.key, f.size)
 	}
 	sh.evictLocked()
-	for k := range sh.disk {
-		sh.indexed[k] = true
-	}
-	sh.nkeys = len(sh.indexed)
 	sh.mu.Unlock()
 	return nil
-}
-
-// loadIndex reads the append-only key index, tolerating a torn final line
-// (a crash mid-append): every complete line is a key; anything else is
-// skipped.
-func (sh *shard) loadIndex() {
-	data, err := os.ReadFile(sh.idxPath)
-	if err != nil {
-		return
-	}
-	start := 0
-	for i := 0; i < len(data); i++ {
-		if data[i] == '\n' {
-			if key := string(data[start:i]); len(key) == 64 && diskKey(key) {
-				sh.indexed[key] = true
-			}
-			start = i + 1
-		}
-	}
-	sh.nkeys = len(sh.indexed)
 }
 
 // walkShard walks a shard directory's two-hex fan-out, calling fn for
@@ -190,8 +156,8 @@ func walkShard(dir string, pruneTmpAge time.Duration, fn func(key string, f os.D
 	}
 	for _, e := range entries {
 		name := e.Name()
-		// keys.idx rewrites atomically into this level, so a crashed
-		// rewrite leaves its temp file here.
+		// An older store rewrote its key index atomically at this level,
+		// so a crashed rewrite may have left its temp file here.
 		if pruneTmp(dir, e) || !e.IsDir() || len(name) != 2 {
 			continue
 		}
@@ -241,7 +207,7 @@ func (sh *shard) get(key string) ([]byte, bool) {
 			}
 			sh.mu.Lock()
 			if sh.mem != nil {
-				sh.memPutLocked(key, data)
+				sh.mem[key] = data
 			}
 			sh.hits++
 			// An unbounded store discovering a prior process's entry
@@ -261,24 +227,15 @@ func (sh *shard) get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// memPutLocked fills the unbounded memory tier, counting a key new to
-// the shard.
-func (sh *shard) memPutLocked(key string, data []byte) {
-	if _, ok := sh.mem[key]; !ok && !sh.indexed[key] {
-		sh.nkeys++
-	}
-	sh.mem[key] = data
-}
-
 // put stores data in the memory tier and, for a disk-backed shard,
-// writes it once (see ShardedStore.Put) and records it in keys.idx.
+// writes it once (see ShardedStore.Put).
 func (sh *shard) put(key string, data []byte) error {
 	if sh.s.hot != nil {
 		sh.s.hot.put(key, data)
 	}
 	sh.mu.Lock()
 	if sh.mem != nil {
-		sh.memPutLocked(key, data)
+		sh.mem[key] = data
 	}
 	sh.puts++
 	if sh.dir == "" || !diskKey(key) {
@@ -286,15 +243,11 @@ func (sh *shard) put(key string, data []byte) error {
 		return nil
 	}
 	if _, ok := sh.disk[key]; ok || sh.writing[key] {
-		// Already durable (or another goroutine is making it so, and
-		// will index it).
+		// Already durable (or another goroutine is making it so).
 		sh.touchLocked(key)
 		sh.putNoops++
 		sh.mu.Unlock()
 		cStorePutNoops.Inc()
-		if ok {
-			sh.index(key)
-		}
 		return nil
 	}
 	if sh.maxBytes > 0 && int64(len(data)) > sh.maxBytes && !sh.s.pins.Pinned(key) {
@@ -347,44 +300,13 @@ func (sh *shard) put(key string, data []byte) error {
 	} else {
 		cStorePutNoops.Inc()
 	}
-	sh.index(key)
-	sh.forget(victims)
+	// Evicted ⇒ the next Get recomputes, crisply: the hot cache must not
+	// keep serving a victim.
+	for _, victim := range victims {
+		sh.s.hot.drop(victim)
+	}
+	sh.publish()
 	return nil
-}
-
-// index appends key to keys.idx unless it is already recorded. Best
-// effort: the value is already durable; a lost index line only costs
-// enumeration, never a wrong Get.
-func (sh *shard) index(key string) {
-	sh.mu.RLock()
-	done := sh.indexed[key]
-	sh.mu.RUnlock()
-	if done {
-		return
-	}
-	sh.idxMu.Lock()
-	defer sh.publish()
-	defer sh.idxMu.Unlock()
-	sh.mu.RLock()
-	done = sh.indexed[key]
-	sh.mu.RUnlock()
-	if done {
-		return
-	}
-	f, err := os.OpenFile(sh.idxPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	_, err = f.WriteString(key + "\n")
-	f.Close()
-	if err == nil {
-		sh.mu.Lock()
-		sh.indexed[key] = true
-		if _, ok := sh.mem[key]; !ok {
-			sh.nkeys++
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // trackLocked records key as on disk with the given size, moving it to
@@ -412,14 +334,14 @@ func (sh *shard) touchLocked(key string) {
 }
 
 // evictLocked removes least-recently-used unpinned entries until the
-// disk tier fits its cap, returning the evicted keys (the caller runs
-// forget outside the lock). Pinned entries are skipped in place — a
-// clock-style pass — so a store whose pinned bytes exceed the cap simply
-// stays over it (and reports so through Occupancy/readyz) rather than
-// evicting a snapshot a live campaign depends on. File removal happens
-// inside the lock-held walk but is a plain unlink (no fsync); a
-// concurrent Get racing the unlink either reads the full old bytes or
-// misses — both correct.
+// disk tier fits its cap, returning the evicted keys (the caller drops
+// them from the hot cache outside the lock). Pinned entries are skipped
+// in place — a clock-style pass — so a store whose pinned bytes exceed
+// the cap simply stays over it (and reports so through Occupancy/readyz)
+// rather than evicting a snapshot a live campaign depends on. File
+// removal happens inside the lock-held walk but is a plain unlink (no
+// fsync); a concurrent Get racing the unlink either reads the full old
+// bytes or misses — both correct.
 func (sh *shard) evictLocked() []string {
 	if sh.maxBytes <= 0 || sh.diskBytes <= sh.maxBytes {
 		return nil
@@ -446,27 +368,6 @@ func (sh *shard) evictLocked() []string {
 	return victims
 }
 
-// forget runs after an eviction, outside mu: the hot cache drops its
-// copy (evicted ⇒ the next Get recomputes, crisply) and the key set
-// forgets the key; keys.idx on disk catches up at the next compaction.
-func (sh *shard) forget(victims []string) {
-	if len(victims) == 0 {
-		return
-	}
-	sh.idxMu.Lock()
-	sh.mu.Lock()
-	for _, key := range victims {
-		sh.s.hot.drop(key)
-		if sh.indexed[key] {
-			delete(sh.indexed, key)
-			sh.nkeys--
-		}
-	}
-	sh.mu.Unlock()
-	sh.idxMu.Unlock()
-	sh.publish()
-}
-
 // publish refreshes the shard's key-count gauge and the store-wide disk
 // occupancy gauges. Memory-only shards publish nothing.
 func (sh *shard) publish() {
@@ -474,75 +375,9 @@ func (sh *shard) publish() {
 		return
 	}
 	sh.mu.RLock()
-	n := sh.nkeys
+	n := len(sh.disk)
 	sh.mu.RUnlock()
 	sh.gauge.Set(float64(n))
 	gStoreDiskBytes.Set(float64(sh.s.diskBytes.Load()))
 	gStoreDiskKeys.Set(float64(sh.s.diskKeys.Load()))
-}
-
-// compact rewrites keys.idx down to the live value files (see
-// ShardedStore.Compact).
-func (sh *shard) compact() error {
-	if sh.dir == "" {
-		return nil
-	}
-	live := map[string]bool{}
-	if err := walkShard(sh.dir, time.Minute, func(key string, _ os.DirEntry) { live[key] = true }); err != nil {
-		return err
-	}
-	sh.idxMu.Lock()
-	defer sh.idxMu.Unlock()
-	// Keys indexed between the walk and here are not in the walk; confirm
-	// their file and keep them, so compaction never drops a fresh write
-	// from the index.
-	var fresh []string
-	sh.mu.RLock()
-	for k := range sh.indexed {
-		if !live[k] {
-			fresh = append(fresh, k)
-		}
-	}
-	sh.mu.RUnlock()
-	for _, k := range fresh {
-		if _, err := os.Stat(sh.path(k)); err == nil {
-			live[k] = true
-		}
-	}
-	if sh.s.hot != nil {
-		// A bounded shard's disk map is ground truth: drop anything
-		// evicted after the walk saw its file.
-		sh.mu.RLock()
-		for k := range live {
-			if _, ok := sh.disk[k]; !ok {
-				delete(live, k)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	keys := make([]string, 0, len(live))
-	for k := range live {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\n')
-	}
-	if err := writeFileAtomic(sh.idxPath, []byte(b.String())); err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	sh.indexed = live
-	sh.nkeys = len(live)
-	for k := range sh.mem {
-		if !live[k] {
-			sh.nkeys++
-		}
-	}
-	sh.mu.Unlock()
-	cStoreCompactions.Inc()
-	sh.publish()
-	return nil
 }

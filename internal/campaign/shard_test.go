@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -39,13 +40,13 @@ func TestShardedStoreRoundTripAndReopen(t *testing.T) {
 	}
 
 	// A fresh process over the same directory sees everything: values via
-	// the disk tier, enumeration via the per-shard index files.
+	// the disk tier, enumeration by walking the shard directories.
 	s2, err := NewShardedStore(dir, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Len(); got != n {
-		t.Fatalf("reopened Len = %d, want %d (index files not loaded?)", got, n)
+		t.Fatalf("reopened Len = %d, want %d", got, n)
 	}
 	if keys := s2.Keys(); len(keys) != n {
 		t.Fatalf("reopened Keys = %d entries, want %d", len(keys), n)
@@ -77,17 +78,41 @@ func TestShardedStoreRejectsShardCountChange(t *testing.T) {
 		t.Fatalf("shards=0 opened %d shards, want the manifest's 8", len(s.shards))
 	}
 	// 0 on a fresh directory is one shard.
-	if s, err = OpenStore(t.TempDir()); err != nil {
+	if s, err = NewShardedStore(t.TempDir(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.shards) != 1 {
-		t.Fatalf("fresh OpenStore opened %d shards, want 1", len(s.shards))
+		t.Fatalf("fresh NewShardedStore(dir, 0) opened %d shards, want 1", len(s.shards))
+	}
+}
+
+// TestOpenStoreNeverCreates pins OpenStore as open-only: a missing or
+// empty directory is an error naming it, and nothing is created — so a
+// mistyped `astro journal replay -store` path fails loudly instead of
+// auditing a brand-new empty store.
+func TestOpenStoreNeverCreates(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "typo")
+	empty := t.TempDir()
+	for _, dir := range []string{missing, empty} {
+		if _, err := OpenStore(dir); err == nil || !strings.Contains(err.Error(), dir) {
+			t.Fatalf("OpenStore(%q): err = %v, want an error naming the directory", dir, err)
+		}
+	}
+	if _, err := OpenStore(""); err == nil {
+		t.Fatal(`OpenStore("") opened a store`)
+	}
+	if _, err := os.Stat(missing); err == nil {
+		t.Fatal("OpenStore created the missing directory")
+	}
+	if entries, err := os.ReadDir(empty); err != nil || len(entries) != 0 {
+		t.Fatalf("OpenStore wrote into the empty directory: %v (err %v)", entries, err)
 	}
 }
 
 // TestShardedStoreConcurrentWriters puts and reads from eight goroutines
-// at once, on a 16-shard store and on a capped one-shard store compacting
-// in the background, so every writer contends on one shard's locks.
+// at once, on a 16-shard store and on a capped one-shard store, so every
+// writer contends on one shard's locks, while a reader enumerates Keys
+// in the background over the directories being written.
 func TestShardedStoreConcurrentWriters(t *testing.T) {
 	for name, open := range map[string]func(dir string) (*ShardedStore, error){
 		"16-shards": func(dir string) (*ShardedStore, error) { return NewShardedStore(dir, 16) },
@@ -101,16 +126,18 @@ func TestShardedStoreConcurrentWriters(t *testing.T) {
 				t.Fatal(err)
 			}
 			stop := make(chan struct{})
-			compacted := make(chan struct{})
+			listed := make(chan struct{})
 			go func() {
-				defer close(compacted)
+				defer close(listed)
 				for {
 					select {
 					case <-stop:
 						return
 					default:
-						if err := s.Compact(); err != nil {
-							t.Errorf("compact: %v", err)
+						for _, k := range s.Keys() {
+							if data, ok := s.Get(k); !ok || string(data) != k {
+								t.Errorf("Keys listed %s, which Get cannot serve", k[:8])
+							}
 						}
 					}
 				}
@@ -134,7 +161,7 @@ func TestShardedStoreConcurrentWriters(t *testing.T) {
 			}
 			wg.Wait()
 			close(stop)
-			<-compacted
+			<-listed
 			if s.Len() != writers*each {
 				t.Fatalf("Len = %d, want %d", s.Len(), writers*each)
 			}
@@ -214,8 +241,8 @@ func TestStoreRefusesDirWithoutManifest(t *testing.T) {
 
 // TestStorePutAllocsFlat pins the per-Put cost against shard size: one
 // Put allocates the same at 100 resident keys as at 10 000, for the
-// memory-only store and for a disk-backed one whose keys arrived through
-// keys.idx. A per-Put cost that grows with the shard would make every
+// memory-only store and for a disk-backed one whose keys are value files
+// an earlier process banked. A per-Put cost that grows with the shard would make every
 // memory-only campaign, all on one shard, quadratic in its cells.
 func TestStorePutAllocsFlat(t *testing.T) {
 	const runs = 50
@@ -240,12 +267,14 @@ func TestStorePutAllocsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var idx strings.Builder
 		for i := 0; i < resident; i++ {
-			idx.WriteString(testKey(i) + "\n")
-		}
-		if err := os.WriteFile(s.shards[0].idxPath, []byte(idx.String()), 0o644); err != nil {
-			t.Fatal(err)
+			p := s.shards[0].path(testKey(i))
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, valFor(i, 8), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if s, err = OpenStore(dir); err != nil {
 			t.Fatal(err)
@@ -266,5 +295,66 @@ func TestStorePutAllocsFlat(t *testing.T) {
 		if small != large {
 			t.Errorf("%s store: %v allocs per Put at 100 keys, %v at 10000", name, small, large)
 		}
+	}
+}
+
+// TestStoreReadsLegacyDirectory reopens testdata/legacy-store, written by
+// the store when it still kept a per-shard keys.idx: two shards, twelve
+// Puts of valFor(i, 40+i) under a 400-byte cap, so eviction left four
+// stale index lines naming keys with no value file. Opened unbounded,
+// through OpenStore or capped, the store serves every surviving value
+// byte for byte, its Keys() is exactly the value files, and the old
+// keys.idx is left as it was.
+func TestStoreReadsLegacyDirectory(t *testing.T) {
+	for name, open := range map[string]func(dir string) (*ShardedStore, error){
+		"unbounded": func(dir string) (*ShardedStore, error) { return NewShardedStore(dir, 0) },
+		"open":      OpenStore,
+		"capped": func(dir string) (*ShardedStore, error) {
+			return NewShardedStoreWith(dir, 2, StoreConfig{MaxBytes: 1 << 20})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "legacy-store"))); err != nil {
+				t.Fatal(err)
+			}
+			idxBefore := map[string][]byte{}
+			for _, sd := range []string{"shard-00", "shard-01"} {
+				data, err := os.ReadFile(filepath.Join(dir, sd, "keys.idx"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				idxBefore[sd] = data
+			}
+			s, err := open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := filesOf(t, dir)
+			if len(files) != 8 {
+				t.Fatalf("testdata holds %d value files, want 8", len(files))
+			}
+			keys := s.Keys()
+			if len(keys) != len(files) {
+				t.Fatalf("Keys = %d entries, want the %d value files", len(keys), len(files))
+			}
+			for _, k := range keys {
+				if _, ok := files[k]; !ok {
+					t.Fatalf("Keys lists %s, which has no value file", k[:8])
+				}
+			}
+			for i := 0; i < 12; i++ {
+				k := testKey(i)
+				got, ok := s.Get(k)
+				if _, live := files[k]; ok != live || (ok && !bytes.Equal(got, valFor(i, 40+i))) {
+					t.Fatalf("key %d: Get = %q, %v; value file present: %v", i, got, ok, live)
+				}
+			}
+			for sd, want := range idxBefore {
+				if got, err := os.ReadFile(filepath.Join(dir, sd, "keys.idx")); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s/keys.idx changed (err %v)", sd, err)
+				}
+			}
+		})
 	}
 }

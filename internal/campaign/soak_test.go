@@ -38,8 +38,8 @@ func soakMatrix() scenario.Matrix {
 //   - never evict a pinned snapshot: a key pinned before the flood (the
 //     trained-agent stand-in — the mechanism is identical) survives every
 //     eviction wave byte-exact;
-//   - make a warm re-run recompute exactly the evicted keys: after
-//     compaction, reopening the directory unbounded and re-running all
+//   - make a warm re-run recompute exactly the evicted keys: reopening
+//     the directory unbounded and re-running all
 //     300 cells performs precisely (300 - resident) fresh simulations.
 //
 // The final occupancy snapshot is written to ASTRO_ARTIFACT_DIR (set in
@@ -150,19 +150,15 @@ func TestBoundedStoreSoak(t *testing.T) {
 		t.Fatalf("all %d keys resident under a cap of a third of the working set — eviction never happened", resident)
 	}
 
-	// Warm re-run recomputes only the evicted keys. Compact first (the
-	// index must forget evictions), then reopen the directory unbounded —
-	// an audit-style reopen, so the warm run itself evicts nothing and the
-	// recompute count is exact.
-	if err := store.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	// Warm re-run recomputes only the evicted keys. Reopen the directory
+	// unbounded — an audit-style reopen, so the warm run itself evicts
+	// nothing and the recompute count is exact.
 	warmStore, err := campaign.NewShardedStore(dir, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := warmStore.Len(); got != resident {
-		t.Fatalf("compacted index enumerates %d keys, Get found %d resident", got, resident)
+		t.Fatalf("reopened store enumerates %d keys, Get found %d resident", got, resident)
 	}
 	var fresh atomic.Int64
 	warmPool := &campaign.Pool{Workers: 4, Store: warmStore}

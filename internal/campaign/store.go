@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -35,20 +34,11 @@ import (
 //
 //	INDEX.json                  {"version":1,"shards":N} — pins the shard count
 //	shard-00/<key[:2]>/<key>.json  shard 0's values, fanned out by key prefix
-//	shard-00/keys.idx           append-only key index, one key per line
 //	shard-01/…                  …
 //
-// The per-shard keys.idx is appended after every disk Put (the value
-// write is fsync+rename crash-safe first; the index line is best effort).
-// It lets a reopened store enumerate what it holds (Keys, Len) without
-// statting hundreds of thousands of files, which is what the coordinator
-// uses to skip leasing cells that any previous run already produced. A
-// missing or truncated index line only costs enumeration: Get still falls
-// through to the disk tier by path, so correctness never depends on the
-// index. An eviction leaves its index line behind on disk (the in-memory
-// key set forgets immediately); compaction — Compact / StartCompactor —
-// rewrites keys.idx down to the live keys with the same
-// atomic write discipline as values.
+// The value files are the one record of what the store holds: Get finds
+// a key by its path, and Keys walks the shard directories. A keys.idx
+// left by an older store is ignored: never read, written or removed.
 //
 // The shard count is part of the layout: reopening a directory with a
 // different non-zero count is an error rather than a silent cache miss on
@@ -93,12 +83,21 @@ func NewShardedStore(dir string, shards int) (*ShardedStore, error) {
 	return NewShardedStoreWith(dir, shards, StoreConfig{})
 }
 
-// OpenStore opens the store under dir with whatever shard count it was
-// created with (NewShardedStore(dir, 0)). Read-side tools — the journal
-// replay audit — use it so the operator needn't remember the -shards
-// value a coordinator was launched with. The store opens unbounded: an
-// audit must never evict the evidence.
+// OpenStore opens the existing store under dir with whatever shard count
+// it was created with (NewShardedStore(dir, 0)). Read-side tools — the
+// journal replay audit — use it so the operator needn't remember the
+// -shards value a coordinator was launched with. Unlike NewShardedStore
+// it never creates one: a missing directory, or one without INDEX.json,
+// is an error naming dir, so a mistyped path cannot pass as an empty
+// store. The store opens unbounded: an audit must never evict the
+// evidence.
 func OpenStore(dir string) (*ShardedStore, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("campaign: open store: no directory given")
+	}
+	if _, err := os.Stat(filepath.Join(dir, shardManifestName)); err != nil {
+		return nil, fmt.Errorf("campaign: %s is not an existing result store: %w", dir, err)
+	}
 	return NewShardedStore(dir, 0)
 }
 
@@ -274,33 +273,34 @@ func (s *ShardedStore) Occupancy() Occupancy {
 	return occ
 }
 
-// Len returns the number of distinct keys the store knows about: resident
-// in memory or recorded in a shard index, so it survives a restart (the
-// coordinator uses it for warm-start accounting).
-func (s *ShardedStore) Len() int {
-	n := 0
+// Len returns len(Keys()).
+func (s *ShardedStore) Len() int { return len(s.Keys()) }
+
+// Keys returns, sorted, the keys of the value files under each shard
+// directory that route to that shard — so a reopened store lists what any
+// earlier process banked — plus those of the unbounded memory tier. The
+// walk sweeps temp files older than a minute, a failed write's leftovers.
+func (s *ShardedStore) Keys() []string {
+	seen := map[string]bool{}
 	for _, sh := range s.shards {
+		if sh.dir != "" {
+			// Keys reports no error: a shard directory it cannot list
+			// contributes no keys.
+			_ = walkShard(sh.dir, time.Minute, func(key string, _ os.DirEntry) {
+				if s.shard(key) == sh {
+					seen[key] = true
+				}
+			})
+		}
 		sh.mu.RLock()
-		n += sh.nkeys
+		for k := range sh.mem {
+			seen[k] = true
+		}
 		sh.mu.RUnlock()
 	}
-	return n
-}
-
-// Keys returns every known key, sorted (memory ∪ index).
-func (s *ShardedStore) Keys() []string {
-	var keys []string
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k := range sh.indexed {
-			keys = append(keys, k)
-		}
-		for k := range sh.mem {
-			if !sh.indexed[k] {
-				keys = append(keys, k)
-			}
-		}
-		sh.mu.RUnlock()
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
@@ -318,55 +318,9 @@ func (s *ShardedStore) Stats() (hits, misses, puts uint64) {
 	return hits, misses, puts
 }
 
-// Compact rewrites every shard's keys.idx down to the keys whose value
-// files are actually live, and sweeps temp-file strays older than a
-// minute (failed writeFileAtomic leftovers; in-flight writes are far
-// faster), stopping at the first error. Each shard's walk runs without
-// any lock; the index swap holds only that shard's index mutex for an
-// atomic rewrite, so value reads and writes proceed throughout.
-// Crash-safety is the usual discipline: keys.idx is replaced via
-// temp-file + fsync + rename, so a crash mid-compaction leaves either the
-// old index or the new one, and a torn tail from a crash mid-*append* is
-// repaired by the next loadIndex (both pinned by tests).
-func (s *ShardedStore) Compact() error {
-	for i, sh := range s.shards {
-		if err := sh.compact(); err != nil {
-			return fmt.Errorf("campaign: compact shard %02x: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// StartCompactor compacts all shards on a background ticker, one full
-// pass per interval (<= 0 picks a minute). The returned stop is
-// idempotent; compaction errors are counted, never fatal — a failed
-// rewrite leaves the previous index in place.
-func (s *ShardedStore) StartCompactor(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if err := s.Compact(); err != nil {
-					cStoreCompactErrors.Inc()
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
-}
-
 // writeFileAtomic writes data via temp-file + fsync + rename + directory
-// sync — the one crash-safety discipline shared by result values, the
-// store manifest, and compaction's keys.idx rewrite.
+// sync — the one crash-safety discipline shared by result values and the
+// store manifest.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp*")

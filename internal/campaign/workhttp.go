@@ -473,11 +473,5 @@ func (x *AgentExchange) Put(key string, data []byte) error {
 	return nil
 }
 
-// Len reports the local tier's population.
-func (x *AgentExchange) Len() int { return x.Local.Len() }
-
-// Stats reports the local tier's counters.
-func (x *AgentExchange) Stats() (hits, misses, puts uint64) { return x.Local.Stats() }
-
 // LeaseTTL exposes the queue's lease duration (for worker status lines).
 func (q *WorkQueue) LeaseTTL() time.Duration { return q.ttl }
