@@ -25,10 +25,24 @@ func (l Level) String() string {
 	return "DRAM"
 }
 
+// pageSets is how many sets share one page of tag storage. A page is
+// allocated on the first access to any of its sets, so a machine pays for
+// the parts of its caches a program touches, not for every set up front.
+const pageSets = 32
+
+// empty marks an unused way. Lines are at least 2 bytes, so a tag (a byte
+// address shifted right by the line bits) never has its top bit set and no
+// address maps to empty.
+const empty = ^uint64(0)
+
 // Cache is one set-associative LRU cache.
 type Cache struct {
-	sets      [][]line // a set is allocated on its first miss; nil until then
+	// pages holds the tags: a page is pageSets sets (fewer when the cache
+	// has fewer sets) of ways tags each, every set ordered most recently
+	// used first with empty ways last. nil until its first access.
+	pages     [][]uint64
 	ways      int
+	pageShift uint // log2 of the sets per page
 	lineShift uint
 	setMask   uint64
 
@@ -36,21 +50,15 @@ type Cache struct {
 	misses uint64
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	// age implements LRU: lower = more recently used (index order maintained
-	// by move-to-front inside the set slice).
-}
-
 // New builds a cache of sizeBytes with the given associativity and line
-// size. Size, ways and line size must make a power-of-two number of sets.
+// size. Size, ways and line size must make a power-of-two number of sets,
+// and a line must be at least 2 bytes.
 func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry %d/%d/%d", sizeBytes, ways, lineBytes)
 	}
-	if lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("cache: line size %d not a power of two", lineBytes)
+	if lineBytes < 2 || lineBytes&(lineBytes-1) != 0 {
+		return nil, fmt.Errorf("cache: line size %d not a power of two of at least 2", lineBytes)
 	}
 	numLines := sizeBytes / lineBytes
 	if numLines == 0 || numLines%ways != 0 {
@@ -61,10 +69,13 @@ func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %d sets not a power of two", numSets)
 	}
 	c := &Cache{
-		sets:    make([][]line, numSets),
 		ways:    ways,
 		setMask: uint64(numSets - 1),
 	}
+	for 1<<c.pageShift < min(numSets, pageSets) {
+		c.pageShift++
+	}
+	c.pages = make([][]uint64, numSets>>c.pageShift)
 	for lineBytes > 1 {
 		lineBytes >>= 1
 		c.lineShift++
@@ -81,32 +92,44 @@ func MustNew(sizeBytes, ways, lineBytes int) *Cache {
 	return c
 }
 
+// locate returns the page index of tag's set and the offset of the set's
+// first way inside that page.
+func (c *Cache) locate(tag uint64) (page, off int) {
+	s := tag & c.setMask
+	return int(s >> c.pageShift), int(s&(1<<c.pageShift-1)) * c.ways
+}
+
 // Access looks up byteAddr, updating LRU state, and reports whether it hit.
 // On miss the line is installed (allocate-on-miss for reads and writes).
 func (c *Cache) Access(byteAddr uint64) bool {
 	tag := byteAddr >> c.lineShift
-	set := c.sets[tag&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	pi, off := c.locate(tag)
+	p := c.pages[pi]
+	if p == nil {
+		p = make([]uint64, c.ways<<c.pageShift)
+		for i := range p {
+			p[i] = empty
+		}
+		c.pages[pi] = p
+	}
+	set := p[off : off+c.ways]
+	for i, t := range set {
+		if t == tag {
 			// Move to front (most recently used).
-			l := set[i]
-			copy(set[1:i+1], set[:i])
-			set[0] = l
+			for ; i > 0; i-- {
+				set[i] = set[i-1]
+			}
+			set[0] = tag
 			c.hits++
 			return true
 		}
 	}
 	c.misses++
-	// Install at front, evicting LRU (the last element) if full.
-	if set == nil {
-		set = make([]line, 0, c.ways)
+	// Install at front, evicting the LRU way (the last one).
+	for i := len(set) - 1; i > 0; i-- {
+		set[i] = set[i-1]
 	}
-	if len(set) < c.ways {
-		set = append(set, line{})
-		c.sets[tag&c.setMask] = set
-	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = line{tag: tag, valid: true}
+	set[0] = tag
 	return false
 }
 
@@ -114,9 +137,13 @@ func (c *Cache) Access(byteAddr uint64) bool {
 // counters.
 func (c *Cache) Probe(byteAddr uint64) bool {
 	tag := byteAddr >> c.lineShift
-	set := c.sets[tag&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	pi, off := c.locate(tag)
+	p := c.pages[pi]
+	if p == nil {
+		return false
+	}
+	for _, t := range p[off : off+c.ways] {
+		if t == tag {
 			return true
 		}
 	}
@@ -131,8 +158,10 @@ func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 
 // Invalidate empties the cache (e.g., power-gating a core or cluster).
 func (c *Cache) Invalidate() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
+	for _, p := range c.pages {
+		for i := range p {
+			p[i] = empty
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,7 @@ func TestGeometryValidation(t *testing.T) {
 		{1024, 0, 64},
 		{1024, 4, 0},
 		{1024, 4, 48},    // line size not power of two
+		{1024, 4, 1},     // 1-byte lines leave no tag free to mark an empty way
 		{1000, 4, 64},    // does not divide
 		{64 * 12, 4, 64}, // 3 sets, not power of two
 	}
@@ -152,18 +154,13 @@ func TestAccessCountInvariant(t *testing.T) {
 		if h+m != uint64(len(addrs)) {
 			return false
 		}
-		resident := 0
-		for _, set := range c.sets {
-			if len(set) > c.ways {
-				return false
-			}
-			for _, l := range set {
-				if l.valid {
-					resident++
-				}
+		resident := map[uint64]bool{}
+		for _, a := range addrs {
+			if c.Probe(uint64(a)) {
+				resident[uint64(a)>>5] = true
 			}
 		}
-		return resident <= 512/32
+		return len(resident) <= 512/32
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -213,5 +210,203 @@ func TestHierarchy(t *testing.T) {
 	}
 	if Miss.String() != "DRAM" || L1.String() != "L1" || L2.String() != "L2" {
 		t.Error("Level strings")
+	}
+}
+
+// refCache is the cache's original storage, kept as a reference model: each
+// set is a slice of valid lines in move-to-front order, grown on its first
+// miss up to the associativity.
+type refCache struct {
+	sets      [][]refLine
+	ways      int
+	lineShift uint
+	setMask   uint64
+
+	hits, misses uint64
+}
+
+type refLine struct {
+	tag   uint64
+	valid bool
+}
+
+func newRef(sizeBytes, ways, lineBytes int) *refCache {
+	numSets := sizeBytes / lineBytes / ways
+	r := &refCache{sets: make([][]refLine, numSets), ways: ways, setMask: uint64(numSets - 1)}
+	for lineBytes > 1 {
+		lineBytes >>= 1
+		r.lineShift++
+	}
+	return r
+}
+
+func (r *refCache) Access(byteAddr uint64) bool {
+	tag := byteAddr >> r.lineShift
+	set := r.sets[tag&r.setMask]
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			l := set[i]
+			copy(set[1:i+1], set[:i])
+			set[0] = l
+			r.hits++
+			return true
+		}
+	}
+	r.misses++
+	if set == nil {
+		set = make([]refLine, 0, r.ways)
+	}
+	if len(set) < r.ways {
+		set = append(set, refLine{})
+		r.sets[tag&r.setMask] = set
+	}
+	copy(set[1:], set[:len(set)-1])
+	set[0] = refLine{tag: tag, valid: true}
+	return false
+}
+
+func (r *refCache) Probe(byteAddr uint64) bool {
+	tag := byteAddr >> r.lineShift
+	for _, l := range r.sets[tag&r.setMask] {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCache) Invalidate() {
+	for i := range r.sets {
+		r.sets[i] = r.sets[i][:0]
+	}
+}
+
+// lruGeometries are the shapes the reference comparison runs on: 4- and
+// 16-way caches of one set, of a few sets inside one page, and the paper
+// board's L1 and LITTLE L2 (several pages each).
+var lruGeometries = [][3]int{
+	{256, 4, 64},
+	{1024, 4, 64},
+	{4096, 16, 64},
+	{32 << 10, 4, 64},
+	{512 << 10, 16, 64},
+}
+
+// checkLRU replays ops against a Cache and the reference model on geometry
+// g and fails at the first differing Access, Probe or Stats answer. Each op
+// is three bytes: a kind, then a tag byte and a set byte. Kind%8 0–4
+// accesses, 5–6 probes, 7 invalidates; kind/8 is the byte offset inside the
+// line. The tag byte picks one of 256 lines per set, so a stream can cycle
+// any number of lines through one set.
+func checkLRU(t *testing.T, g [3]int, ops []byte) {
+	t.Helper()
+	c, ref := MustNew(g[0], g[1], g[2]), newRef(g[0], g[1], g[2])
+	setBits := uint(0)
+	for 1<<setBits < g[0]/g[1]/g[2] {
+		setBits++
+	}
+	for i := 0; i+3 <= len(ops); i += 3 {
+		kind, tag, set := ops[i], uint64(ops[i+1]), uint64(ops[i+2])
+		line := tag<<setBits | set&ref.setMask
+		addr := line<<ref.lineShift | uint64(kind/8)%uint64(g[2])
+		switch kind % 8 {
+		case 0, 1, 2, 3, 4:
+			if got, want := c.Access(addr), ref.Access(addr); got != want {
+				t.Fatalf("%v op %d: Access(%#x) = %v, reference %v", g, i/3, addr, got, want)
+			}
+		case 5, 6:
+			if got, want := c.Probe(addr), ref.Probe(addr); got != want {
+				t.Fatalf("%v op %d: Probe(%#x) = %v, reference %v", g, i/3, addr, got, want)
+			}
+		case 7:
+			c.Invalidate()
+			ref.Invalidate()
+		}
+		if h, m := c.Stats(); h != ref.hits || m != ref.misses {
+			t.Fatalf("%v op %d: Stats = %d/%d, reference %d/%d", g, i/3, h, m, ref.hits, ref.misses)
+		}
+	}
+	for i := 0; i+3 <= len(ops); i += 3 {
+		line := uint64(ops[i+1])<<setBits | uint64(ops[i+2])&ref.setMask
+		if got, want := c.Probe(line<<ref.lineShift), ref.Probe(line<<ref.lineShift); got != want {
+			t.Fatalf("%v final Probe(line %#x) = %v, reference %v", g, line, got, want)
+		}
+	}
+}
+
+// cycleOps builds n accesses that cycle lines tags through one set.
+func cycleOps(set byte, n int, tags ...byte) []byte {
+	var ops []byte
+	for i := 0; i < n; i++ {
+		ops = append(ops, 0, tags[i%len(tags)], set)
+	}
+	return ops
+}
+
+// TestCacheMatchesLRUReference pins the tag-only paged storage to the
+// original move-to-front model: same hit/miss outcomes, counters and
+// residency on every geometry.
+func TestCacheMatchesLRUReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := make([]byte, 3*4000)
+	rng.Read(random)
+	// The same stream folded onto 8 lines in each of 4 sets, so it hits as
+	// well as misses on every geometry.
+	narrow := append([]byte(nil), random...)
+	for i := 0; i < len(narrow); i += 3 {
+		narrow[i+1] %= 8
+		narrow[i+2] %= 4
+	}
+	// Three lines cycling through one set: the pattern behind fig10's L1
+	// hits at ways 0, 1 and 2.
+	three := cycleOps(5, 300, 1, 2, 3)
+	// The same set overflowed by more lines than the widest geometry has
+	// ways, with an Invalidate half way.
+	invalidated := append(cycleOps(9, 60, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17), 7, 0, 0)
+	invalidated = append(invalidated, cycleOps(9, 60, 3, 2, 1, 17)...)
+	for _, g := range lruGeometries {
+		for name, ops := range map[string][]byte{"three": three, "invalidated": invalidated, "random": random, "narrow": narrow} {
+			t.Run(fmt.Sprintf("%d-%d-way/%s", g[0], g[1], name), func(t *testing.T) {
+				checkLRU(t, g, ops)
+			})
+		}
+	}
+}
+
+// FuzzCacheLRU mutates op streams (see checkLRU) and checks the cache
+// against the reference model; the first byte picks the geometry. Its seed
+// corpus is testdata/fuzz/FuzzCacheLRU.
+func FuzzCacheLRU(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		checkLRU(t, lruGeometries[int(data[0])%len(lruGeometries)], data[1:])
+	})
+}
+
+// BenchmarkHierarchyAccess streams three lines per set through the paper
+// board's L1 and big-cluster L2, so after the first pass every access hits
+// L1 at way 2 after scanning the two newer lines: the per-access cost of
+// the cache model on the small-working-set streams fig10 runs.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	h := &Hierarchy{L1c: MustNew(32<<10, 4, 64), L2c: MustNew(2<<20, 16, 64)}
+	const sets = 128 // the L1's
+	addrs := make([]uint64, 0, 3*sets)
+	for s := uint64(0); s < sets; s++ {
+		for tag := uint64(0); tag < 3; tag++ {
+			addrs = append(addrs, (tag*sets+s)*64)
+		}
+	}
+	for _, a := range addrs {
+		h.Access(a)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		h.Access(addrs[i])
+		if i++; i == len(addrs) {
+			i = 0
+		}
 	}
 }

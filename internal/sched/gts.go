@@ -22,20 +22,13 @@ func NewGTS() *GTS { return &GTS{UpLoad: 0.55, DownLoad: 0.25} }
 // Name implements sim.OSPolicy.
 func (g *GTS) Name() string { return "gts" }
 
-func (g *GTS) split(m *sim.Machine) (bigs, littles []int) {
-	for _, ci := range m.ActiveCoreIDs() {
-		if m.CoreType(ci) == hw.Big {
-			bigs = append(bigs, ci)
-		} else {
-			littles = append(littles, ci)
-		}
-	}
-	return
-}
-
-func leastLoaded(m *sim.Machine, cores []int, prefer int) int {
-	best := -1
+// leastLoaded continues a least-loaded scan over cores from best (-1 to
+// start fresh), preferring prefer on ties.
+func leastLoaded(m *sim.Machine, best int, cores []int, prefer int) int {
 	bestLen := 0
+	if best >= 0 {
+		bestLen = m.QueueLen(best)
+	}
 	for _, ci := range cores {
 		l := m.QueueLen(ci)
 		if best == -1 || l < bestLen || (l == bestLen && ci == prefer) {
@@ -48,19 +41,19 @@ func leastLoaded(m *sim.Machine, cores []int, prefer int) int {
 // PlaceThread implements sim.OSPolicy. New tasks start on big cores
 // (performance-first, as GTS does); thereafter tracked load decides.
 func (g *GTS) PlaceThread(m *sim.Machine, t *sim.Thread) int {
-	bigs, littles := g.split(m)
+	bigs, littles := m.ActiveCoreIDsByType()
 	switch {
 	case len(bigs) == 0:
-		return leastLoaded(m, littles, t.Core())
+		return leastLoaded(m, -1, littles, t.Core())
 	case len(littles) == 0:
-		return leastLoaded(m, bigs, t.Core())
+		return leastLoaded(m, -1, bigs, t.Core())
 	case t.Instructions() == 0 || t.Load >= g.UpLoad:
-		return leastLoaded(m, bigs, t.Core())
+		return leastLoaded(m, -1, bigs, t.Core())
 	case t.Load <= g.DownLoad:
-		return leastLoaded(m, littles, t.Core())
+		return leastLoaded(m, -1, littles, t.Core())
 	default:
-		all := append(append([]int(nil), bigs...), littles...)
-		return leastLoaded(m, all, t.Core())
+		// One scan over the bigs then the littles.
+		return leastLoaded(m, leastLoaded(m, -1, bigs, t.Core()), littles, t.Core())
 	}
 }
 
@@ -68,7 +61,7 @@ func (g *GTS) PlaceThread(m *sim.Machine, t *sim.Thread) int {
 // cores, down-migrate light tasks hogging big cores, then even out queue
 // lengths inside each cluster.
 func (g *GTS) Rebalance(m *sim.Machine) {
-	bigs, littles := g.split(m)
+	bigs, littles := m.ActiveCoreIDsByType()
 	if len(bigs) > 0 && len(littles) > 0 {
 		for _, t := range m.Threads() {
 			if !t.Ready() {
@@ -76,12 +69,12 @@ func (g *GTS) Rebalance(m *sim.Machine) {
 			}
 			onBig := m.CoreType(t.Core()) == hw.Big
 			if !onBig && t.Load >= g.UpLoad {
-				target := leastLoaded(m, bigs, t.Core())
+				target := leastLoaded(m, -1, bigs, t.Core())
 				if m.QueueLen(target) <= m.QueueLen(t.Core()) {
 					m.MigrateThread(t, target)
 				}
 			} else if onBig && t.Load > 0 && t.Load <= g.DownLoad {
-				target := leastLoaded(m, littles, t.Core())
+				target := leastLoaded(m, -1, littles, t.Core())
 				if m.QueueLen(target) <= m.QueueLen(t.Core())+1 {
 					m.MigrateThread(t, target)
 				}

@@ -261,3 +261,69 @@ func main() {
 		t.Errorf("GTS (%.6fs) much slower than default policy (%.6fs)", gts, def)
 	}
 }
+
+// allocProbeGTS is GTS that, at its third OS tick, when every thread of
+// the run is spawned and the machine's reused buffers have grown, measures
+// the allocations of PlaceThread for each kind of thread and of Rebalance.
+type allocProbeGTS struct {
+	*GTS
+	ticks      int
+	live       int
+	place, reb float64
+}
+
+func (p *allocProbeGTS) Rebalance(m *sim.Machine) {
+	if p.ticks++; p.ticks == 3 {
+		p.live = len(m.Threads())
+		// Fresh, light, mixed and heavy load: every PlaceThread branch.
+		for i, load := range []float64{0, 0.05, 0.4, 0.9} {
+			th := sim.NewThreadForTest(load, 1000*uint64(i), i)
+			p.place += testing.AllocsPerRun(50, func() { p.GTS.PlaceThread(m, th) })
+		}
+		p.reb = testing.AllocsPerRun(50, func() { p.GTS.Rebalance(m) })
+	}
+	p.GTS.Rebalance(m)
+}
+
+// TestGTSZeroAllocs pins GTS.PlaceThread and GTS.Rebalance at zero heap
+// allocations on a warm machine whose threads sleep, wake and contend for
+// a lock on both clusters.
+func TestGTSZeroAllocs(t *testing.T) {
+	mod := compileT(t, `
+mutex mu;
+var total int;
+func spin(n int) {
+	var i int;
+	for (i = 0; i < n; i = i + 1) {
+		lock(mu);
+		total = total + i;
+		unlock(mu);
+	}
+}
+func light() {
+	var i int;
+	for (i = 0; i < 10; i = i + 1) { sleep_ms(1); }
+}
+func main() {
+	spawn spin(3000);
+	spawn spin(3000);
+	spawn light();
+	spawn light();
+	join();
+}
+`)
+	p := &allocProbeGTS{GTS: NewGTS()}
+	m, err := sim.New(mod, hw.OdroidXU4(), sim.Options{OS: p, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if p.ticks < 3 || p.live < 3 {
+		t.Fatalf("probe ran at tick %d with %d live threads; want a warm multi-threaded machine", p.ticks, p.live)
+	}
+	if p.place != 0 || p.reb != 0 {
+		t.Errorf("warm GTS allocates: %.0f objects over four PlaceThread calls, %.0f per Rebalance", p.place, p.reb)
+	}
+}

@@ -9,11 +9,12 @@ package sim
 // Regenerate the committed BENCH_*.json baseline (and gate the pinned
 // Minstr/s throughput metrics against the prior one) with:
 //
-//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine' -benchmem -benchtime 0.5s -count 3 ./internal/sim/
+//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine|BenchmarkHierarchyAccess' -benchmem -benchtime 0.5s -count 3 ./internal/sim/ ./internal/cache/
 //	 go test -run '^$' -bench 'BenchmarkObserve' -benchmem -benchtime 0.5s -count 3 ./internal/rl/) \
-//	  | go run ./cmd/astro-bench -o BENCH_14.json -prev BENCH_13.json -max-regress 15
+//	  | go run ./cmd/astro-bench -o BENCH_16.json -prev BENCH_15.json -max-regress 15
 
 import (
+	"fmt"
 	"testing"
 
 	"astro/internal/hw"
@@ -61,7 +62,7 @@ func benchMachine(tb testing.TB, src string, legacy bool) (*Machine, *core) {
 	m, err := New(mod, hw.OdroidXU4(), Options{
 		Seed:         1,
 		LegacyInterp: legacy,
-		MaxThreads:   2,
+		MaxThreads:   8,
 		StackCells:   4096,
 	})
 	if err != nil {
@@ -85,6 +86,29 @@ func step(m *Machine, c *core) {
 	e := m.events.pop()
 	m.now = e.time
 	m.cores[e.core].runPending = false
+}
+
+// stepEvent processes the next event the way Run's loop does.
+func stepEvent(m *Machine) {
+	e := m.events.pop()
+	if e.time > m.now {
+		m.now = e.time
+	}
+	switch e.kind {
+	case evWake:
+		m.wakes--
+		m.handleWake(e.thread)
+	case evCoreRun:
+		c := m.cores[e.core]
+		c.runPending = false
+		if c.active {
+			m.coreStep(c)
+		}
+	case evTick:
+		m.updateLoads()
+		m.opts.OS.Rebalance(m)
+		m.schedule(event{time: m.now + m.opts.TickS, kind: evTick})
+	}
 }
 
 func benchCoreStep(b *testing.B, src string, legacy bool) {
@@ -205,11 +229,68 @@ func BenchmarkNewMachine(b *testing.B) {
 	}
 }
 
+// benchWakeSrc keeps four threads contending for one lock and meeting at a
+// barrier forever, so nearly every event is a block, a wake or a placement.
+const benchWakeSrc = `
+var counter int;
+mutex mu;
+barrier gate;
+func worker(id int) {
+	while (1 == 1) {
+		lock(mu);
+		counter = counter + id;
+		unlock(mu);
+		barrier_wait(gate);
+	}
+}
+func main() {
+	barrier_init(gate, 4);
+	var i int;
+	for (i = 1; i < 4; i = i + 1) { spawn worker(i); }
+	worker(0);
+}
+`
+
+// wakeMachine boots benchWakeSrc and arms its event loop: main's first
+// core run and the OS tick, so stepEvent can drive it.
+func wakeMachine(tb testing.TB, legacy bool) *Machine {
+	m, c := benchMachine(tb, benchWakeSrc, legacy)
+	c.runPending = true
+	m.schedule(event{time: m.now, kind: evCoreRun, core: c.idx})
+	m.schedule(event{time: m.opts.TickS, kind: evTick})
+	return m
+}
+
 // TestSteadyStateBurstZeroAllocs pins the allocation discipline: once warm,
 // a scheduling quantum — burst execution, accounting, event push/pop —
 // performs zero heap allocations, for both pure-compute and call-heavy
-// steady states, on both execution paths.
+// steady states, on both execution paths. The wake case drives the event
+// loop itself through lock handoffs, barrier releases, thread placement and
+// OS ticks, and counts every allocation over a thousand events.
 func TestSteadyStateBurstZeroAllocs(t *testing.T) {
+	for _, legacy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wake/legacy=%t", legacy), func(t *testing.T) {
+			m := wakeMachine(t, legacy)
+			for i := 0; i < 5000; i++ {
+				stepEvent(m)
+			}
+			if m.err != nil || len(m.threads) != 4 {
+				t.Fatalf("warm-up: %d threads, err %v", len(m.threads), m.err)
+			}
+			allocs := testing.AllocsPerRun(1, func() {
+				for i := 0; i < 1000; i++ {
+					stepEvent(m)
+				}
+			})
+			if m.err != nil {
+				t.Fatal(m.err)
+			}
+			if allocs != 0 {
+				t.Fatalf("1000 warm events allocate %.0f objects, want 0", allocs)
+			}
+		})
+	}
+
 	cases := []struct {
 		name   string
 		src    string

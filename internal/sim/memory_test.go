@@ -139,10 +139,10 @@ func TestMemoryGrowthInsideBurstDifferential(t *testing.T) {
 }
 
 // TestNewMachineAllocs pins machine construction on the paper's board with
-// default Options: address space and cache sets are allocated on first
+// default Options: address space and cache pages are allocated on first
 // touch, so building a machine for a tiny program costs a few dozen
-// allocations and well under a megabyte, not the full 8 MiB address space
-// and one slice per cache set.
+// allocations and a few KiB, not the full 8 MiB address space, a tag page
+// per cache or a slice header per cache set.
 func TestNewMachineAllocs(t *testing.T) {
 	mod := compile(t, boundarySrc)
 	plat := hw.OdroidXU4()
@@ -166,7 +166,7 @@ func TestNewMachineAllocs(t *testing.T) {
 	if allocs > 64 {
 		t.Errorf("sim.New allocates %.0f objects, want <= 64", allocs)
 	}
-	if bytesPerNew > 512<<10 {
-		t.Errorf("sim.New allocates %d bytes, want <= %d", bytesPerNew, 512<<10)
+	if bytesPerNew > 32<<10 {
+		t.Errorf("sim.New allocates %d bytes, want <= %d", bytesPerNew, 32<<10)
 	}
 }

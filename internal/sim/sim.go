@@ -159,6 +159,11 @@ type Machine struct {
 	live     int // threads not yet done
 	runnable int
 
+	// The active core indices, all and per type, each in index order;
+	// setActive rebuilds them whenever a core's active flag changes.
+	activeIDs, activeBig, activeLittle []int
+	liveBuf                            []*Thread // Threads' reused result
+
 	locks    []lockState
 	barriers []barrierState
 
@@ -304,6 +309,9 @@ func NewWithProgram(mod *ir.Module, plat *hw.Platform, opts Options, prog *Progr
 	for _, ci := range plat.ActiveCores(cfg) {
 		m.cores[ci].active = true
 	}
+	n := len(m.cores)
+	m.activeIDs, m.activeBig, m.activeLittle = make([]int, 0, n), make([]int, 0, n), make([]int, 0, n)
+	m.setActive()
 	m.cfg = cfg
 	if opts.SampleS > 0 {
 		m.samples = &powmon.Series{IntervalS: opts.SampleS}
@@ -341,15 +349,31 @@ func (m *Machine) Config() hw.Config { return m.cfg }
 // Now returns the current virtual time in seconds.
 func (m *Machine) Now() float64 { return m.now }
 
-// ActiveCoreIDs lists the currently active core indices.
-func (m *Machine) ActiveCoreIDs() []int {
-	var out []int
+// setActive rebuilds the active core lists from the cores' active flags.
+func (m *Machine) setActive() {
+	m.activeIDs, m.activeBig, m.activeLittle = m.activeIDs[:0], m.activeBig[:0], m.activeLittle[:0]
 	for _, c := range m.cores {
-		if c.active {
-			out = append(out, c.idx)
+		if !c.active {
+			continue
+		}
+		m.activeIDs = append(m.activeIDs, c.idx)
+		if c.spec.Type == hw.Big {
+			m.activeBig = append(m.activeBig, c.idx)
+		} else {
+			m.activeLittle = append(m.activeLittle, c.idx)
 		}
 	}
-	return out
+}
+
+// ActiveCoreIDs lists the currently active core indices in index order.
+// The slice belongs to the machine: it is valid until the next
+// configuration change and must not be modified.
+func (m *Machine) ActiveCoreIDs() []int { return m.activeIDs }
+
+// ActiveCoreIDsByType splits ActiveCoreIDs into the active big and LITTLE
+// core indices, each in index order, under the same terms.
+func (m *Machine) ActiveCoreIDsByType() (bigs, littles []int) {
+	return m.activeBig, m.activeLittle
 }
 
 // CoreType returns the type of core i.
@@ -369,15 +393,17 @@ func (m *Machine) QueueLen(i int) int {
 // LastHWPhase returns the hardware phase observed at the latest checkpoint.
 func (m *Machine) LastHWPhase() perfmon.HWPhase { return m.lastHW }
 
-// Threads returns the live thread handles (for policies).
+// Threads returns the live thread handles (for policies). The slice
+// belongs to the machine: it is valid until the next call to Threads and
+// must not be modified.
 func (m *Machine) Threads() []*Thread {
-	var out []*Thread
+	m.liveBuf = m.liveBuf[:0]
 	for _, t := range m.threads {
 		if t.state != tsDone {
-			out = append(out, t)
+			m.liveBuf = append(m.liveBuf, t)
 		}
 	}
-	return out
+	return m.liveBuf
 }
 
 // rand64 is the machine-level deterministic RNG (xorshift64*).

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -436,5 +438,59 @@ func TestRandBuiltinsDeterministicPerSeed(t *testing.T) {
 	b := run(t, src, Options{Seed: 5})
 	if a.Output[0] != b.Output[0] || a.Output[1] != b.Output[1] {
 		t.Fatalf("rand not deterministic: %v vs %v", a.Output, b.Output)
+	}
+}
+
+// scanCheckPolicy is LeastLoaded that runs check before every placement.
+type scanCheckPolicy struct {
+	LeastLoaded
+	check func(when string)
+}
+
+func (p *scanCheckPolicy) PlaceThread(m *Machine, t *Thread) int {
+	p.check("at placement")
+	return p.LeastLoaded.PlaceThread(m, t)
+}
+
+// TestActiveListsMatchScan checks the machine-owned active core lists
+// against a fresh scan of the cores' active flags after every configuration
+// change and at every thread placement, including the re-placement of the
+// threads a change displaces.
+func TestActiveListsMatchScan(t *testing.T) {
+	m := wakeMachine(t, false)
+	check := func(when string) {
+		var all, bigs, littles []int
+		for _, c := range m.cores {
+			if !c.active {
+				continue
+			}
+			all = append(all, c.idx)
+			if c.spec.Type == hw.Big {
+				bigs = append(bigs, c.idx)
+			} else {
+				littles = append(littles, c.idx)
+			}
+		}
+		gotBigs, gotLittles := m.ActiveCoreIDsByType()
+		if !slices.Equal(m.ActiveCoreIDs(), all) || !slices.Equal(gotBigs, bigs) || !slices.Equal(gotLittles, littles) {
+			t.Fatalf("%s %v: active %v big %v LITTLE %v, scan finds %v, %v, %v",
+				when, m.cfg, m.ActiveCoreIDs(), gotBigs, gotLittles, all, bigs, littles)
+		}
+	}
+	m.opts.OS = &scanCheckPolicy{check: check}
+	check("after New")
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		m.requestConfig(m.plat.ConfigFromID(rng.Intn(m.plat.NumConfigs())))
+		check("after requestConfig")
+		for j := 0; j < 20; j++ {
+			stepEvent(m)
+		}
+		if m.err != nil {
+			t.Fatal(m.err)
+		}
+	}
+	if m.switches < 200 {
+		t.Fatalf("only %d configuration changes applied", m.switches)
 	}
 }

@@ -110,7 +110,9 @@ func (m *Machine) execSyncBuiltin(c *core, t *Thread, fr *frame, in *ir.Instr, b
 		}
 		if len(ls.waiters) > 0 {
 			next := ls.waiters[0]
-			ls.waiters = ls.waiters[1:]
+			// Shift down rather than reslice, so the queue keeps its
+			// capacity and a warm lock never reallocates it.
+			ls.waiters = ls.waiters[:copy(ls.waiters, ls.waiters[1:])]
 			ls.owner = next // direct handoff
 			m.wakeRelease(m.threads[next])
 		} else {
@@ -279,6 +281,7 @@ func (m *Machine) requestConfig(cfg hw.Config) {
 			c.idleFrom = maxf(c.idleFrom, stallEnd)
 		}
 	}
+	m.setActive()
 	for _, t := range displaced {
 		t.state = tsReady
 		m.placeThread(t)
