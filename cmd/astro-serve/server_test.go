@@ -222,6 +222,7 @@ func TestServeReadyz(t *testing.T) {
 func TestServeRemoteCampaign(t *testing.T) {
 	store := campaign.NewMemStore()
 	queue := campaign.NewWorkQueue(time.Minute)
+	queue.Store = store
 	runner := &campaign.RemoteRunner{Queue: queue, Store: store}
 	eng := campaign.NewEngineWith(runner, store)
 	srv := httptest.NewServer(newServer(eng, queue, false, ""))

@@ -149,9 +149,6 @@ func scenarioSweep(args []string, reportOnly bool) error {
 		return err
 	}
 
-	// Remote dispatch works in smaller batches: a slow worker then gates one
-	// slice of the program axis, not the whole matrix.
-	m.AutoBatch(*workers)
 	specs, err := m.Campaigns()
 	if err != nil {
 		return err

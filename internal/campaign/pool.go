@@ -72,10 +72,9 @@ func resultWork(r *sim.Result) (instr, cycles uint64) {
 	return r.Instructions, cycles
 }
 
-// Pool executes job batches. Jobs are sharded statically: worker w owns
-// list indices w, w+Workers, w+2·Workers, … — a deterministic partition
-// that needs no locked queue and keeps each worker's share independent of
-// run-to-run timing. The zero value is a serial, uncached pool.
+// Pool executes job batches. Jobs are sharded statically (see partition),
+// so each worker's share is independent of run-to-run timing. The zero
+// value is a serial, uncached pool.
 type Pool struct {
 	Workers int         // concurrent workers; <= 0 means 1
 	Store   ResultStore // nil disables caching
@@ -91,52 +90,65 @@ func (p *Pool) Run(ctx context.Context, jobs []*Job, onProgress func(Progress)) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(jobs) && len(jobs) > 0 {
-		workers = len(jobs)
-	}
-
 	outs := make([]*Outcome, len(jobs))
-	var (
-		progMu sync.Mutex
-		done   int
-	)
-	report := func(o *Outcome) {
-		progMu.Lock()
-		defer progMu.Unlock()
-		done++
-		if onProgress != nil {
-			onProgress(o.progress(done, len(jobs)))
+	report := reporter(len(jobs), onProgress)
+	partition(len(jobs), p.Workers, func(i, w int) {
+		if err := ctx.Err(); err != nil {
+			outs[i] = &Outcome{Job: jobs[i], Err: err, Worker: w}
+			return
 		}
-	}
+		outs[i] = p.runOne(jobs[i], w)
+		report(outs[i])
+	})
+	return outs, jobErrors(outs)
+}
 
+// partition calls f(i, w) for every i < n on up to workers goroutines
+// (at least one): worker w owns indices w, w+W, w+2·W, … — a
+// deterministic split that needs no locked queue. It returns once every
+// call has.
+func partition(n, workers int, f func(i, w int)) {
+	workers = min(max(workers, 1), n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(jobs); i += workers {
-				if err := ctx.Err(); err != nil {
-					outs[i] = &Outcome{Job: jobs[i], Err: err, Worker: w}
-					continue
-				}
-				outs[i] = p.runOne(jobs[i], w)
-				report(outs[i])
+			for i := w; i < n; i += workers {
+				f(i, w)
 			}
 		}(w)
 	}
 	wg.Wait()
+}
 
+// reporter returns a progress hook that counts finished jobs out of total
+// and forwards each as an event to onProgress (nil = none); calls are
+// serialized.
+func reporter(total int, onProgress func(Progress)) func(*Outcome) {
+	var (
+		mu   sync.Mutex
+		done int
+	)
+	return func(o *Outcome) {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if onProgress != nil {
+			onProgress(o.progress(done, total))
+		}
+	}
+}
+
+// jobErrors joins the errors of a batch's outcomes, naming each job.
+func jobErrors(outs []*Outcome) error {
 	var errs []error
 	for _, o := range outs {
 		if o != nil && o.Err != nil {
 			errs = append(errs, fmt.Errorf("job %d (%s): %w", o.Job.Index, o.Job.Label, o.Err))
 		}
 	}
-	return outs, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
 // runOne executes one job: cache lookup, simulation with retries, cache

@@ -5,8 +5,11 @@ package campaign_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,6 +75,7 @@ func TestRemoteByteIdentity(t *testing.T) {
 	// Leg B: coordinator + two workers over HTTP.
 	remoteStore := campaign.NewMemStore()
 	q := campaign.NewWorkQueue(time.Minute)
+	q.Store = remoteStore
 	srv := httptest.NewServer(http.StripPrefix("/work", campaign.WorkHandler(q, remoteStore)))
 	defer srv.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -139,33 +143,77 @@ func TestRemoteByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRemoteRunnerCancellation withdraws queued cells when the context
-// dies: no worker is running, so every cell is still pending and the run
-// returns promptly with context errors instead of hanging.
+// TestRemoteRunnerCancellation withdraws queued cells of both kinds when
+// the context dies: no worker is running, so every cell is still pending
+// and each run returns promptly with ctx's error at every index instead
+// of hanging, leaving the queue empty.
 func TestRemoteRunnerCancellation(t *testing.T) {
 	m := sixtyCellMatrix()
 	jobs := expandMatrix(t, m)
+	store := campaign.NewMemStore()
 	q := campaign.NewWorkQueue(time.Minute)
-	runner := &campaign.RemoteRunner{Queue: q, Store: campaign.NewMemStore()}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
+	q.Store = store
+	runner := &campaign.RemoteRunner{Queue: q, Store: store}
+	cancelSoon := func() context.Context {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(50 * time.Millisecond)
+			cancel()
+		}()
+		return ctx
+	}
+	checkQueue := func(leg string) {
+		t.Helper()
+		if st := q.Stats(); st.Pending != 0 || st.Leased != 0 {
+			t.Fatalf("%s: cancelled run left %d cells pending, %d leased", leg, st.Pending, st.Leased)
+		}
+	}
+
 	start := time.Now()
-	outs, err := runner.Run(ctx, jobs, nil)
+	outs, err := runner.Run(cancelSoon(), jobs, nil)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("cancellation did not unblock the run")
 	}
+	if len(outs) != len(jobs) {
+		t.Fatalf("cancelled run returned %d outcomes for %d jobs", len(outs), len(jobs))
+	}
 	for i, o := range outs {
 		if o == nil {
 			t.Fatalf("job %d has no outcome after cancellation", i)
 		}
+		if !errors.Is(o.Err, context.Canceled) {
+			t.Fatalf("job %d: error %v, want context.Canceled", i, o.Err)
+		}
 	}
-	if st := q.Stats(); st.Pending != 0 {
-		t.Fatalf("cancelled run left %d cells pending", st.Pending)
+	checkQueue("run")
+
+	// Train leg: the same withdrawal through the shared lease path. The
+	// specs never execute, so any module wires.
+	specs := make([]*campaign.TrainSpec, 4)
+	for i := range specs {
+		specs[i] = &campaign.TrainSpec{Label: fmt.Sprintf("train/%d", i), Module: jobs[0].Module, Seed: int64(i)}
+	}
+	start = time.Now()
+	trained, err := runner.Train(cancelSoon(), specs)
+	if time.Since(start) > 5*time.Second {
+		t.Fatal("cancellation did not unblock the training run")
+	}
+	if err == nil {
+		t.Fatal("cancelled training returned nil error")
+	}
+	for i, ts := range specs {
+		if trained[i] != nil {
+			t.Fatalf("cell %d trained after cancellation", i)
+		}
+		if want := fmt.Sprintf("cell %d (%s): %v", i, ts.Label, context.Canceled); !strings.Contains(err.Error(), want) {
+			t.Fatalf("training error %q lacks %q", err, want)
+		}
+	}
+	checkQueue("train")
+	if store.Len() != 0 {
+		t.Fatalf("cancelled runs banked %d entries", store.Len())
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"astro/internal/hw"
@@ -229,35 +228,26 @@ func (ts *TrainSpec) platformName() string {
 }
 
 // TrainCells trains independent cells on workers goroutines with the same
-// deterministic index sharding as Pool.Run. Each cell is internally
-// sequential (episodes feed the next), but cells share nothing, so the
-// result set is identical for any worker count — the training counterpart
-// of the -j1 ≡ -j8 campaign invariant.
+// deterministic partition as Pool.Run. Each cell is internally sequential
+// (episodes feed the next), but cells share nothing, so the result set is
+// identical for any worker count — the training counterpart of the
+// -j1 ≡ -j8 campaign invariant.
 func TrainCells(store ResultStore, specs []*TrainSpec, workers int) ([]*Trained, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(specs) && len(specs) > 0 {
-		workers = len(specs)
-	}
 	outs := make([]*Trained, len(specs))
 	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(specs); i += workers {
-				outs[i], errs[i] = TrainCell(store, specs[i])
-			}
-		}(w)
-	}
-	wg.Wait()
+	partition(len(specs), workers, func(i, _ int) {
+		outs[i], errs[i] = TrainCell(store, specs[i])
+	})
+	return outs, cellErrors(specs, errs)
+}
+
+// cellErrors joins a training batch's per-cell errors, naming each cell.
+func cellErrors(specs []*TrainSpec, errs []error) error {
 	var joined []error
 	for i, err := range errs {
 		if err != nil {
 			joined = append(joined, fmt.Errorf("cell %d (%s): %w", i, specs[i].Label, err))
 		}
 	}
-	return outs, errors.Join(joined...)
+	return errors.Join(joined...)
 }

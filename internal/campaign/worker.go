@@ -23,12 +23,11 @@ import (
 // content-addressed cells from a coordinator (astro-serve or the CLI's
 // loopback cluster), executes them, and pushes canonical result bytes
 // back. Simulation cells run through the same Job.Execute path the local
-// pool uses; training cells (WireJob kind "train") run through TrainCell
-// against the worker's agent exchange, so the finished snapshot is
-// published to the coordinator for every other machine. Workers are
-// stateless — identity is just a label for lease accounting — so killing
-// one loses at most its in-flight cells, which the coordinator re-leases
-// after the TTL.
+// pool uses; training cells (WireJob kind "train") run through TrainCell,
+// and the result submission that completes the lease is the snapshot's
+// only publication. Workers are stateless — identity is just a label for
+// lease accounting — so killing one loses at most its in-flight cells,
+// which the coordinator re-leases after the TTL.
 //
 // Parallel sizes the executor pool: one lease/heartbeat loop fans each
 // batch out across N goroutines, so a single worker process saturates a
@@ -65,7 +64,6 @@ type Worker struct {
 	Renew       time.Duration  // heartbeat interval; 0 = a third of the lease TTL, negative = disabled
 	Client      *http.Client   // nil = http.DefaultClient
 	Store       ResultStore    // optional local result cache
-	Agents      ResultStore    // trained-agent tier; nil = an AgentExchange against the coordinator over Store
 	Token       string         // bearer token for coordinators behind WithBearerAuth ("" = none)
 	Faults      FaultPolicy    // optional injected-fault schedule (chaos drills; nil = none)
 	OnProgress  func(Progress) // optional per-cell hook (logging); called concurrently when Parallel > 1
@@ -172,17 +170,13 @@ func (w *Worker) postDrain() {
 	}
 }
 
-// agentStore lazily builds the worker's trained-agent tier: the configured
-// Agents store, or an AgentExchange that caches coordinator snapshots in
-// the worker's local store (falling back to a fresh in-memory tier). One
-// exchange serves the whole worker lifetime, so an agent fetched for one
-// hybrid cell answers every later cell keyed to the same snapshot.
+// agentStore lazily builds the worker's trained-agent tier: an
+// AgentExchange that caches coordinator snapshots in the worker's local
+// store (falling back to a fresh in-memory tier). One exchange serves the
+// whole worker lifetime, so an agent fetched for one hybrid cell answers
+// every later cell keyed to the same snapshot.
 func (w *Worker) agentStore() ResultStore {
 	w.agentsOnce.Do(func() {
-		if w.Agents != nil {
-			w.agents = w.Agents
-			return
-		}
 		w.agents = NewAgentExchange(w.Coordinator, w.Store)
 	})
 	return w.agents
@@ -591,31 +585,28 @@ func (w *Worker) executeSim(cell *WireJob) ([]byte, error) {
 	return sim.EncodeResult(res)
 }
 
-// executeTrain runs one training cell through TrainCell against the agent
-// exchange: a snapshot another machine already produced is a cache hit
-// fetched from the coordinator, and a freshly trained one is published
-// back through the exchange as a side effect — the /result submission then
-// carries the same canonical snapshot bytes to complete the lease.
+// executeTrain runs one training cell to canonical snapshot bytes. A
+// snapshot already banked on the coordinator is read through the agent
+// exchange rather than retrained; a fresh one is trained without a store,
+// so the /result submission is its only publication and the queue, which
+// validates it, is the only place it is banked.
 func (w *Worker) executeTrain(cell *WireJob) (data []byte, hit bool, err error) {
 	ts, err := cell.TrainSpec()
 	if err != nil {
 		return nil, false, err
 	}
-	agents := w.agentStore()
-	tr, err := TrainCell(agents, ts)
+	if stored, ok := w.agentStore().Get(cell.Key); ok && validateWireResult(KindTrain, stored) == nil {
+		return stored, true, nil
+	}
+	tr, err := TrainCell(nil, ts)
 	if err != nil {
 		return nil, false, err
-	}
-	// Prefer the exchange's stored bytes (they are the canonical form
-	// TrainCell banked); re-snapshot only if the Put was lost.
-	if stored, ok := agents.Get(cell.Key); ok {
-		return stored, tr.CacheHit, nil
 	}
 	data, err = snapshotBytes(tr)
 	if err != nil || data == nil {
 		return nil, false, fmt.Errorf("campaign: train cell %q produced an unsnapshotable agent", cell.Label)
 	}
-	return data, tr.CacheHit, nil
+	return data, false, nil
 }
 
 // submit pushes a result, retrying transient network failures a few times —

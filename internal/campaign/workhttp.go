@@ -329,14 +329,15 @@ func WorkHandler(q *WorkQueue, store ResultStore) http.Handler {
 			return
 		}
 		// Snapshots are keyed by training *inputs*, not bytes, so the hash
-		// cannot be verified here. Structural validation is strict instead:
-		// the payload must be a trained-agent snapshot whose agent actually
-		// restores. This keeps a buggy publisher (key/data swapped, result
-		// bytes under an agent key) — or any stray JSON — from overwriting
+		// cannot be verified here. Validation is the /result path's instead:
+		// the payload must be a trained-agent snapshot whose agent restores
+		// and that re-encodes to exactly these bytes (invariant 5). This
+		// keeps a buggy publisher (key/data swapped, result bytes under an
+		// agent key) — or any stray or padded JSON — from overwriting
 		// entries in the shared store through this endpoint; the /result
 		// path stays the only way to write simulation results, and it
 		// validates under a lease.
-		if _, err := restoreTrained(data); err != nil {
+		if err := validateWireResult(KindTrain, data); err != nil {
 			writeErr(w, http.StatusUnprocessableEntity, "body under %s: %v", key, err)
 			return
 		}

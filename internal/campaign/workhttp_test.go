@@ -38,6 +38,7 @@ func TestWorkerExecutesLeasedCells(t *testing.T) {
 
 	store := NewMemStore()
 	q := NewWorkQueue(time.Minute)
+	q.Store = store
 	srv := startCoordinator(t, q, store)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -98,7 +99,8 @@ func TestAgentExchangeWarmsTrainingAcrossMachines(t *testing.T) {
 
 // TestWorkHandlerRejectsBadKeys keeps crafted paths out of the store.
 func TestWorkHandlerRejectsBadKeys(t *testing.T) {
-	srv := startCoordinator(t, NewWorkQueue(time.Minute), NewMemStore())
+	store := NewMemStore()
+	srv := startCoordinator(t, NewWorkQueue(time.Minute), store)
 	for _, key := range []string{"../../etc/passwd", "ABCD", strings.Repeat("g", 64)} {
 		resp, err := http.Get(srv.URL + "/work/agents/" + key)
 		if err != nil {
@@ -113,12 +115,23 @@ func TestWorkHandlerRejectsBadKeys(t *testing.T) {
 			t.Fatalf("key %q accepted", key)
 		}
 	}
-	// A well-formed key only accepts a restorable trained-agent snapshot:
-	// non-JSON, stray JSON ({} — which would decode as a zero sim.Result
-	// and poison warm runs if it reached the shared store), and truncated
-	// snapshots are all refused before Put.
+	// A well-formed key only accepts a restorable trained-agent snapshot
+	// in canonical form (invariant 5): non-JSON, stray JSON ({} — which
+	// would decode as a zero sim.Result and poison warm runs if it reached
+	// the shared store), truncated snapshots, and a real snapshot padded
+	// with whitespace or carrying an unknown field are all refused before
+	// Put.
+	tr, err := TrainCell(nil, trainSpecFor(t, "spin", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshotBytes(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	key := strings.Repeat("ab", 32)
-	for _, body := range []string{"not json", "{}", `{"agent":{"kind":"dqn"}}`} {
+	for _, body := range []string{"not json", "{}", `{"agent":{"kind":"dqn"}}`,
+		" " + string(snap) + "\n", `{"extra":1,` + string(snap[1:])} {
 		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/work/agents/"+key, strings.NewReader(body))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -126,7 +139,10 @@ func TestWorkHandlerRejectsBadKeys(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Fatalf("body %q: status %d, want 422", body, resp.StatusCode)
+			t.Fatalf("body %.40q: status %d, want 422", body, resp.StatusCode)
+		}
+		if _, ok := store.Get(key); ok {
+			t.Fatalf("body %.40q reached the store", body)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"astro/internal/campaign"
@@ -19,9 +20,9 @@ import (
 // is deterministic, so the backend never changes results, only where the
 // cycles burn (internal/campaign's determinism and remote byte-identity
 // tests hold the proof). Training batches route through the same seam:
-// when the runner also implements campaign.Trainer (both Pool and
-// RemoteRunner do), fig10-style training cells follow the runner — leased
-// to the fleet under a remote runner, sharded in-process otherwise.
+// the runner must also implement campaign.Trainer (Pool and RemoteRunner
+// do), so fig10-style training cells follow the runner — leased to the
+// fleet under a remote runner, sharded in-process otherwise.
 var (
 	execMu      sync.RWMutex
 	execWorkers                      = 1
@@ -70,15 +71,6 @@ func Configure(cfg ExecConfig) {
 	execRunner = &campaign.Pool{Workers: execWorkers, Store: execStore}
 }
 
-// Workers reports the configured pool width; drivers with serial
-// per-benchmark stages (training) use it to bound benchmark-level
-// concurrency.
-func Workers() int {
-	execMu.RLock()
-	defer execMu.RUnlock()
-	return execWorkers
-}
-
 // Store returns the executor's result store. Figure drivers use it to
 // memoize trained agents next to the simulation results they produce, so a
 // disk-backed -cache directory also persists training across runs.
@@ -101,16 +93,16 @@ func runBatch(jobs []*campaign.Job) ([]*sim.Result, error) {
 	return campaign.Results(outs)
 }
 
-// trainBatch executes training cells on the shared runner's Trainer (both
-// backends implement it; TrainCells is the safety net for a custom runner
-// that does not), so fig10's per-benchmark training distributes exactly
-// like its sampling.
+// trainBatch executes training cells on the shared runner's Trainer (Pool
+// and RemoteRunner both implement it), so fig10's per-benchmark training
+// distributes exactly like its sampling.
 func trainBatch(specs []*campaign.TrainSpec) ([]*campaign.Trained, error) {
 	execMu.RLock()
-	runner, ctx, store, workers := execRunner, execCtx, execStore, execWorkers
+	runner, ctx := execRunner, execCtx
 	execMu.RUnlock()
-	if tr, ok := runner.(campaign.Trainer); ok {
-		return tr.Train(ctx, specs)
+	tr, ok := runner.(campaign.Trainer)
+	if !ok {
+		return nil, fmt.Errorf("experiments: runner %T cannot train", runner)
 	}
-	return campaign.TrainCells(store, specs, workers)
+	return tr.Train(ctx, specs)
 }

@@ -139,34 +139,6 @@ func (m *Matrix) Unregister() {
 	}
 }
 
-// AutoBatch sizes Batch for remote dispatch: when workers > 1 and no
-// explicit Batch is set, programs are split so the matrix compiles to
-// roughly two campaign batches per worker — small enough that a slow or
-// dying worker never gates the whole sweep behind one giant batch, large
-// enough that per-batch overhead (submission, aggregation, reporting) stays
-// negligible. Batching only regroups jobs; every job key is unchanged, so
-// batch size can never affect results or cache identity (the remote
-// byte-identity test runs batched and unbatched grids against each other).
-func (m *Matrix) AutoBatch(workers int) {
-	if m.Batch != 0 || workers <= 1 {
-		return
-	}
-	pnames := map[string]bool{}
-	for _, pp := range m.programParams() {
-		pnames[pp.Name()] = true
-	}
-	programs := len(pnames)
-	if programs <= 1 {
-		return
-	}
-	target := 2 * workers // desired batch count
-	b := (programs + target - 1) / target
-	if b < 1 {
-		b = 1
-	}
-	m.Batch = b
-}
-
 // Campaigns compiles the matrix into campaign specs: programs are batched
 // (Batch per spec; one spec when Batch is 0) and every other axis carries
 // over verbatim. Each spec validates against the campaign engine's own

@@ -16,7 +16,7 @@
 // identity across processes and machines.
 //
 // Matrix compiles the generated axes into campaign.Spec batches. Batching
-// (Batch, AutoBatch) only regroups jobs — job keys are independent of
+// (Batch) only regroups jobs — job keys are independent of
 // batch size, worker count and execution backend, so a matrix swept
 // in-process, through -workers loopback clusters, or across a distributed
 // fleet produces byte-identical result sets against the same store.
