@@ -10,12 +10,7 @@
 //
 //	astro-experiments [-scale small|paper] [-fig 1|3|4|6|9|10|11|table1|headline|all]
 //	                  [-j N] [-cache dir] [-store-max-bytes N] [-hot-cache-bytes N]
-//	                  [-coordinator URL] [-remote addr] [-lease-ttl d] [-timeout d]
-//
-// -coordinator fronts the store with a trained-agent snapshot exchange
-// against a running astro-serve: fig10-style training cells finished on
-// any machine pointing at the same coordinator are cache hits here, with
-// inference-exact snapshots (results stay byte-identical).
+//	                  [-remote addr] [-lease-ttl d] [-timeout d]
 //
 // -remote turns this process into the coordinator of a worker fleet: it
 // serves the /work lease endpoints on addr and every campaign cell —
@@ -45,7 +40,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"astro/internal/campaign"
@@ -61,7 +55,6 @@ func main() {
 	cacheDir := flag.String("cache", "", "on-disk result cache directory (default: in-memory only)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "cap the on-disk result store; LRU-evicts unpinned entries past the cap (0 = unbounded; requires -cache)")
 	hotCacheBytes := flag.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap)")
-	coordinator := flag.String("coordinator", "", "astro-serve URL: exchange trained-agent snapshots with its store, so fig10-style training done on any machine warms this one (and vice versa)")
 	remoteAddr := flag.String("remote", "", "listen address: become the coordinator of an `astro worker` fleet and lease every cell (simulations and training) to it")
 	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "with -remote: how long a worker holds a cell between renewals")
 	token := flag.String("token", "", "with -remote: bearer token required on the /work endpoints (empty = open)")
@@ -89,13 +82,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "astro-experiments:", err)
 		os.Exit(1)
 	}
-	var exec campaign.ResultStore = store
-	if *coordinator != "" {
-		exec = campaign.NewAgentExchange(strings.TrimRight(*coordinator, "/")+"/work", store)
-	}
-	cfg := experiments.ExecConfig{Workers: *jobs, Store: exec, Ctx: ctx}
+	cfg := experiments.ExecConfig{Workers: *jobs, Store: store, Ctx: ctx}
 	if *remoteAddr != "" {
-		runner, stop, err := startCoordinator(*remoteAddr, *leaseTTL, exec, *pprofOn, *token, *journalDir)
+		runner, stop, err := startCoordinator(*remoteAddr, *leaseTTL, store, *pprofOn, *token, *journalDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "astro-experiments:", err)
 			os.Exit(1)

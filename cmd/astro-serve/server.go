@@ -39,11 +39,10 @@ import (
 //	GET    /work/fleet               derived per-worker fleet view (rates, in-flight)
 //	GET    /work/traces              coordinator-assembled per-cell traces
 //	GET    /work/journal             flight-recorder events (cursor-paged; needs -journal)
-//	GET    /work/agents/{key}        trained-agent snapshot exchange (fetch)
-//	PUT    /work/agents/{key}        trained-agent snapshot exchange (publish)
+//	GET    /work/agents/{key}        trained-agent snapshot fetch (read-only)
 //
 // The /work endpoints (campaign.WorkHandler) are always mounted; they only
-// hand out cells when the engine runs with -remote, but the agent exchange
+// hand out cells when the engine runs with -remote, but snapshot fetches
 // and status are live either way. Campaign SSE progress streams cover
 // remote cells too — a leased cell's completion flows through the engine's
 // progress path exactly like a locally simulated one.

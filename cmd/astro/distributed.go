@@ -12,10 +12,6 @@ import (
 	"astro/internal/campaign"
 )
 
-// bgContext is the CLI's root context (a seam so worker/cluster code never
-// grabs context.Background directly in two places).
-func bgContext() context.Context { return context.Background() }
-
 // cluster is an in-process distributed campaign cluster: a loopback HTTP
 // coordinator (the same campaign.WorkHandler astro-serve mounts) plus n
 // pull-based workers. The CLI uses it for `-workers N` on campaign and
@@ -53,7 +49,7 @@ func startCluster(n int, store campaign.ResultStore) (*cluster, error) {
 	c.stopSweep = q.StartSweeper(0)
 	go c.srv.Serve(ln)
 
-	ctx, cancel := context.WithCancel(bgContext())
+	ctx, cancel := context.WithCancel(context.Background())
 	c.cancel = cancel
 	for i := 0; i < n; i++ {
 		w := &campaign.Worker{
@@ -79,7 +75,7 @@ func (c *cluster) close() {
 	c.cancel()
 	c.wg.Wait()
 	c.stopSweep()
-	shCtx, done := context.WithTimeout(bgContext(), time.Second)
+	shCtx, done := context.WithTimeout(context.Background(), time.Second)
 	defer done()
 	c.srv.Shutdown(shCtx)
 }

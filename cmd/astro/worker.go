@@ -17,8 +17,9 @@ import (
 // (astro-serve with its /work endpoints). The worker leases
 // content-addressed cells — simulation jobs and training cells alike —
 // executes them on -j parallel executors and pushes canonical results
-// back; killing it at any point is safe, because its in-flight cells
-// re-lease after the coordinator's TTL. The first SIGTERM/SIGINT drains
+// back. It keeps no result store of its own: the coordinator's store is
+// the fleet's only one. Killing it at any point is safe, because its
+// in-flight cells re-lease after the coordinator's TTL. The first SIGTERM/SIGINT drains
 // instead: the worker stops leasing, finishes and submits everything it
 // holds, and exits with zero held leases (the rolling-restart path); a
 // second signal aborts immediately. While it executes, a heartbeat
@@ -36,27 +37,13 @@ func cmdWorker(args []string) error {
 	par := fs.Int("j", 1, "parallel cell executors under one lease/heartbeat loop")
 	poll := fs.Duration("poll", 500*time.Millisecond, "idle poll interval")
 	renew := fs.Duration("renew", 0, "lease renewal heartbeat interval (0 = a third of the coordinator's TTL; negative disables renewal)")
-	cacheDir := fs.String("cache", "", "local result cache directory (answers re-leased cells without resimulating)")
-	shards := fs.Int("shards", 0, "shard the local cache by key prefix (0 = the existing cache's count, or 1 for a new directory)")
-	storeMaxBytes := fs.Int64("store-max-bytes", 0, "cap the local cache; LRU-evicts past the cap (0 = unbounded; requires -cache)")
-	hotCacheBytes := fs.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap)")
 	token := fs.String("token", "", "bearer token for the coordinator's /work endpoints")
 	quiet := fs.Bool("q", false, "suppress per-cell progress on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	storeCfg := campaign.StoreConfig{MaxBytes: *storeMaxBytes, HotBytes: *hotCacheBytes}
-	var store campaign.ResultStore
-	if *cacheDir != "" || *shards > 0 {
-		ss, err := campaign.NewShardedStoreWith(*cacheDir, *shards, storeCfg)
-		if err != nil {
-			return err
-		}
-		store = ss
-	}
-
-	ctx, cancel := context.WithCancel(bgContext())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	w := &campaign.Worker{
@@ -66,7 +53,6 @@ func cmdWorker(args []string) error {
 		Parallel:    *par,
 		Poll:        *poll,
 		Renew:       *renew,
-		Store:       store,
 		Token:       *token,
 	}
 

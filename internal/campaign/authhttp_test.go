@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -113,6 +115,90 @@ func TestWorkerAuthenticatesEndToEnd(t *testing.T) {
 	}
 	if row := workerRow(t, st, "w-auth"); row.Completed != 1 {
 		t.Fatalf("authenticated worker completed %d cells", row.Completed)
+	}
+}
+
+// countingTransport counts the trained-agent fetches a client sends.
+type countingTransport struct{ agentGets atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/work/agents/") {
+		c.agentGets.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestWorkerFetchesAgentsWithToken: a worker behind a guarded coordinator
+// fetches trained-agent snapshots with its own client and bearer token.
+// One fig10-style GTS + hybrid pair runs through a RemoteRunner against a
+// snapshot banked in the coordinator's store, byte-identical to the
+// in-process pool. A fresh worker's agent tier then serves TrainCell a
+// remote hit that restores an inference-identical agent, while a
+// tokenless worker's fetch is refused.
+func TestWorkerFetchesAgentsWithToken(t *testing.T) {
+	cells := fig10StyleCells(t, []string{"spin"})
+	tr, err := TrainCell(nil, cells[0].spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshotBytes(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := cells[0].spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	local := NewMemStore()
+	if err := local.Put(key, snap); err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&Pool{Workers: 1, Store: local}).Run(context.Background(), fig10StyleJobs(t, cells, 1, nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := NewMemStore()
+	if err := store.Put(key, snap); err != nil {
+		t.Fatal(err)
+	}
+	q := NewWorkQueue(time.Minute)
+	q.Store = store
+	srv := httptest.NewServer(http.StripPrefix("/work",
+		WithBearerAuth("s3cret", WorkHandler(q, store))))
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	transport := &countingTransport{}
+	w := &Worker{Coordinator: srv.URL + "/work", ID: "w-hybrid", Max: 1, Poll: 2 * time.Millisecond,
+		Token: "s3cret", Client: &http.Client{Transport: transport}}
+	go w.Run(ctx)
+	got, err := (&RemoteRunner{Queue: q, Store: store}).Run(context.Background(), fig10StyleJobs(t, cells, 1, nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fw, fg := Fingerprint(want), Fingerprint(got); fw != fg {
+		t.Fatalf("remote fingerprint %s != in-process %s", fg, fw)
+	}
+	if n := transport.agentGets.Load(); n != 1 {
+		t.Fatalf("worker's client sent %d agent fetches, want 1", n)
+	}
+
+	fresh := &Worker{Coordinator: srv.URL + "/work", ID: "w-fetch", Token: "s3cret"}
+	warm, err := TrainCell(fresh.agentStore(), cells[0].spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.CacheHit {
+		t.Fatal("TrainCell retrained instead of fetching the banked snapshot")
+	}
+	if a, b := agentFingerprint(t, tr.Agent), agentFingerprint(t, warm.Agent); string(a) != string(b) {
+		t.Fatal("fetched agent is not inference-identical")
+	}
+	tokenless := &Worker{Coordinator: srv.URL + "/work", ID: "w-noauth"}
+	if _, ok := tokenless.agentStore().Get(key); ok {
+		t.Fatal("tokenless worker fetched a snapshot from a guarded coordinator")
 	}
 }
 

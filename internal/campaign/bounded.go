@@ -72,7 +72,7 @@ type Occupancy struct {
 
 // Occupant is implemented by stores that account their disk tier;
 // readiness probes and the soak test consult it through the interface, as
-// the ResultStore they hold may be a wrapper such as AgentExchange.
+// the ResultStore they hold need not be a ShardedStore.
 type Occupant interface {
 	Occupancy() Occupancy
 }

@@ -15,8 +15,8 @@
 //   - ResultStore: the storage contract — canonical bytes by content key —
 //     implemented by ShardedStore (key-prefix shards, in memory with an
 //     optional crash-safe on-disk tier and index; NewMemStore is its
-//     one-shard memory-only form) and AgentExchange (a worker-local tier
-//     backed by a coordinator over HTTP).
+//     one-shard memory-only form). A worker reads trained-agent snapshots
+//     through to its coordinator's store over HTTP.
 //   - Runner: the execution contract, implemented by Pool (in-process
 //     worker pool with deterministic static sharding) and RemoteRunner
 //     (cells leased to pull-based workers over HTTP via a WorkQueue, with
@@ -87,7 +87,8 @@ type Job struct {
 	AgentKey string
 
 	// Agents supplies the snapshot store Execute resolves AgentKey
-	// against (a local ShardedStore, or a worker's AgentExchange). It is
+	// against (a local ShardedStore, or a worker's read-through onto its
+	// coordinator's store). It is
 	// runtime wiring, not identity — never hashed. Pool fills it from its
 	// own store when the job leaves it nil.
 	Agents ResultStore

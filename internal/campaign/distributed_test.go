@@ -78,7 +78,7 @@ func fig10StyleCells(t *testing.T, benchmarks []string) []*fig10Cell {
 // fig10StyleJobs expands the cells into the sampling batch: per benchmark,
 // GTS samples on the plain module and hybrid samples keyed to the trained
 // agent's snapshot. agents supplies the snapshot store for in-process
-// execution; remote legs leave it nil (workers bring their own exchange).
+// execution; remote legs leave it nil (workers fetch from the coordinator).
 func fig10StyleJobs(t *testing.T, cells []*fig10Cell, samples int, agents ResultStore) []*Job {
 	t.Helper()
 	var jobs []*Job

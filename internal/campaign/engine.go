@@ -98,8 +98,8 @@ func NewEngine(workers int, store ResultStore) *Engine {
 
 // NewEngineWith builds an engine around an explicit runner — the local Pool
 // or a RemoteRunner leasing cells to pull-based workers. The store must be
-// the one the runner memoizes into (it backs the /work agent-exchange
-// endpoints and warm-cache accounting).
+// the one the runner memoizes into (it backs GET /work/agents/{key} and
+// warm-cache accounting).
 func NewEngineWith(r Runner, store ResultStore) *Engine {
 	if store == nil {
 		store = NewMemStore()

@@ -916,12 +916,6 @@ func (q *WorkQueue) retryOrFailLocked(c *workCell, key, cause string, err error)
 	return func() {}
 }
 
-// finishLocked completes a cell and evicts it (the bytes live in the
-// ResultStore; the queue keeps only a done-key marker for duplicate
-// detection on success, and nothing at all on failure, so a resubmitted
-// campaign retries a failed cell fresh). It returns a closure that invokes
-// the cell's waiters — callers run it after releasing the lock, since
-// waiters call back into stores and progress sinks.
 // unpinLocked releases a cell's trained-agent pin (no-op for unpinned
 // cells). Called exactly once per cell: on finish or on last-waiter
 // cancel, both of which remove the cell from q.cells first.
@@ -935,6 +929,12 @@ func (q *WorkQueue) unpinLocked(c *workCell) {
 	c.pinned = ""
 }
 
+// finishLocked completes a cell and evicts it (the bytes live in the
+// ResultStore; the queue keeps only a done-key marker for duplicate
+// detection on success, and nothing at all on failure, so a resubmitted
+// campaign retries a failed cell fresh). It returns a closure that invokes
+// the cell's waiters — callers run it after releasing the lock, since
+// waiters call back into stores and progress sinks.
 func (q *WorkQueue) finishLocked(c *workCell, key string, data []byte, err error) func() {
 	c.state = cellDone
 	delete(q.cells, key)

@@ -22,7 +22,7 @@ import (
 //     workers performs zero fresh work anywhere. A stored entry that does
 //     not decode is leased afresh, and its validated result overwrites it.
 //   - every other cell is wired and enqueued — hybrid jobs included, whose
-//     trained agent travels by content key through the agent exchange; the
+//     trained agent travels by content key (GET /work/agents/{key}); the
 //     queue deduplicates by key, leases cells to whichever workers poll,
 //     re-issues expired leases, and validates and banks results before any
 //     waiter sees them. A cell that does not wire (no module, or the

@@ -7,8 +7,8 @@ import "context"
 // snapshots) addressed by content key. Implementations must be safe for
 // concurrent use; Get/Put must be coherent (a Put followed by a Get of the
 // same key returns the stored bytes). ShardedStore (memory or
-// prefix-sharded disk) and AgentExchange (local tier backed by a
-// coordinator over HTTP) implement it.
+// prefix-sharded disk) implements it, and so does a worker's read-through
+// onto its coordinator's store.
 type ResultStore interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, data []byte) error

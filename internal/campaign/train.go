@@ -114,7 +114,7 @@ type trainedSnapshot struct {
 // restoreTrained decodes stored training-cell bytes and restores the
 // agent. It is the single gate between snapshot bytes and a usable
 // Trained — the warm-cache path, the queue's train-result validation, the
-// agent exchange and agent-keyed jobs all trust exactly this check.
+// worker's agent fetch and agent-keyed jobs all trust exactly this check.
 func restoreTrained(data []byte) (*Trained, error) {
 	snap, err := decodeSnapshot(data)
 	if err != nil {

@@ -27,8 +27,8 @@ const (
 // Two kinds of cell cross the wire. Simulation cells (Kind == KindSim)
 // decode back into a Job via (*WireJob).Job; their policies travel by
 // name, and a trained-agent hybrid travels as its snapshot's content key
-// (AgentKey) — the worker fetches the snapshot through the /work/agents
-// exchange and rebuilds the policy from it. Training cells
+// (AgentKey) — the worker fetches the snapshot with GET /work/agents/{key}
+// and rebuilds the policy from it. Training cells
 // (Kind == KindTrain) decode into a TrainSpec via (*WireJob).TrainSpec
 // and reuse the shared fields (module, platform, OS, seed, args, opts)
 // plus the Train block for the agent recipe; their result bytes are the
@@ -89,7 +89,7 @@ type WireTrain struct {
 // Wire serializes the job for remote execution. A job with the deprecated
 // Hybrid factory or an unfingerprintable option set is refused; agent-keyed
 // hybrid jobs wire (the snapshot travels separately, by content key,
-// through the agent exchange).
+// through GET /work/agents/{key}).
 func (j *Job) Wire() (*WireJob, error) {
 	if j.Module == nil {
 		return nil, fmt.Errorf("campaign: job %d (%s) has no module", j.Index, j.Label)

@@ -48,13 +48,13 @@ import (
 // held batch finishes and submits, Run returns nil (cmd/astro wires
 // SIGTERM here for rolling restarts).
 //
-// An optional local Store short-circuits execution: a cell whose key the
-// worker has already produced (an earlier run, a shared disk cache) is
-// answered from the store without simulating. Results are validated
-// end-to-end: the worker refuses cells whose recomputed key mismatches the
-// coordinator's (codec drift), and the coordinator refuses results that do
-// not decode (malformed submission) — so neither side can poison the
-// other's content-addressed store.
+// The coordinator's store is the fleet's only shared store: the worker
+// keeps no result cache of its own, and reads trained-agent snapshots
+// through to the coordinator (GET /agents/{key}) behind an in-memory memo.
+// Results are validated end-to-end: the worker refuses cells whose
+// recomputed key mismatches the coordinator's (codec drift), and the
+// coordinator refuses results that do not decode (malformed submission) —
+// so neither side can poison the other's content-addressed store.
 type Worker struct {
 	Coordinator string         // coordinator base URL including the /work mount
 	ID          string         // worker identity for lease accounting
@@ -63,7 +63,6 @@ type Worker struct {
 	Poll        time.Duration  // idle backoff (default 500ms; the coordinator may suggest longer)
 	Renew       time.Duration  // heartbeat interval; 0 = a third of the lease TTL, negative = disabled
 	Client      *http.Client   // nil = http.DefaultClient
-	Store       ResultStore    // optional local result cache
 	Token       string         // bearer token for coordinators behind WithBearerAuth ("" = none)
 	Faults      FaultPolicy    // optional injected-fault schedule (chaos drills; nil = none)
 	OnProgress  func(Progress) // optional per-cell hook (logging); called concurrently when Parallel > 1
@@ -170,17 +169,60 @@ func (w *Worker) postDrain() {
 	}
 }
 
-// agentStore lazily builds the worker's trained-agent tier: an
-// AgentExchange that caches coordinator snapshots in the worker's local
-// store (falling back to a fresh in-memory tier). One exchange serves the
-// whole worker lifetime, so an agent fetched for one hybrid cell answers
-// every later cell keyed to the same snapshot.
+// agentStore lazily builds the worker's trained-agent tier. One tier
+// serves the whole worker lifetime, so an agent fetched for one hybrid
+// cell answers every later cell keyed to the same snapshot.
 func (w *Worker) agentStore() ResultStore {
 	w.agentsOnce.Do(func() {
-		w.agents = NewAgentExchange(w.Coordinator, w.Store)
+		w.agents = &agentFetcher{w: w, memo: NewMemStore()}
 	})
 	return w.agents
 }
+
+// agentFetchTimeout bounds one snapshot fetch: the fetch sits on the
+// execution path of hybrid and training cells, where an unbounded request
+// against a wedged coordinator would stall the executor (and
+// ResultStore.Get carries no context).
+const agentFetchTimeout = 30 * time.Second
+
+// agentFetcher is a read-through onto the coordinator's store for
+// trained-agent snapshots: Get consults the memo, then sends GET
+// {Coordinator}/agents/{key} with the worker's client and credentials.
+// Put writes only the memo — the /result submission that completes a
+// training lease is the only way a snapshot reaches the coordinator.
+type agentFetcher struct {
+	w    *Worker
+	memo ResultStore
+}
+
+func (a *agentFetcher) Get(key string) ([]byte, bool) {
+	if data, ok := a.memo.Get(key); ok {
+		return data, true
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), agentFetchTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, a.w.Coordinator+"/agents/"+key, nil)
+	if err != nil {
+		return nil, false
+	}
+	a.w.setAuth(req)
+	resp, err := a.w.client().Do(req)
+	if err != nil {
+		return nil, false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, false
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
+	if err != nil {
+		return nil, false
+	}
+	_ = a.memo.Put(key, data)
+	return data, true
+}
+
+func (a *agentFetcher) Put(key string, data []byte) error { return a.memo.Put(key, data) }
 
 // Run leases and executes cells until ctx is cancelled (clean shutdown,
 // returns nil). Network errors back off and retry: a worker outliving a
@@ -495,23 +537,11 @@ func (w *Worker) execute(ctx context.Context, cell *WireJob, received time.Time,
 		execErr error
 		hit     bool
 	)
-	if w.Store != nil {
-		if cached, ok := w.Store.Get(cell.Key); ok {
-			if validateWireResult(cell.Kind, cached) == nil {
-				data, hit = cached, true
-			}
-		}
-	}
-	if data == nil {
-		switch cell.Kind {
-		case KindTrain:
-			data, hit, execErr = w.executeTrain(cell)
-		default:
-			data, execErr = w.executeSim(cell)
-		}
-		if execErr == nil && w.Store != nil && !hit {
-			_ = w.Store.Put(cell.Key, data)
-		}
+	switch cell.Kind {
+	case KindTrain:
+		data, hit, execErr = w.executeTrain(cell)
+	default:
+		data, execErr = w.executeSim(cell)
 	}
 
 	cWCells.Inc()
@@ -569,7 +599,7 @@ func (w *Worker) execute(ctx context.Context, cell *WireJob, received time.Time,
 
 // executeSim runs one simulation cell to canonical result bytes.
 // Agent-keyed hybrid cells resolve their snapshot through the worker's
-// agent exchange — local tier first, coordinator on miss.
+// agent tier — memo first, coordinator on miss.
 func (w *Worker) executeSim(cell *WireJob) ([]byte, error) {
 	j, err := cell.Job()
 	if err != nil {
@@ -587,7 +617,7 @@ func (w *Worker) executeSim(cell *WireJob) ([]byte, error) {
 
 // executeTrain runs one training cell to canonical snapshot bytes. A
 // snapshot already banked on the coordinator is read through the agent
-// exchange rather than retrained; a fresh one is trained without a store,
+// tier rather than retrained; a fresh one is trained without a store,
 // so the /result submission is its only publication and the queue, which
 // validates it, is the only place it is banked.
 func (w *Worker) executeTrain(cell *WireJob) (data []byte, hit bool, err error) {

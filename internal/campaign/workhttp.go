@@ -1,11 +1,9 @@
 package campaign
 
 import (
-	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -29,16 +27,15 @@ import (
 //	GET  /traces        assembled per-cell traces, newest first (?campaign=, ?n=)
 //	GET  /traces/{key}  one cell's trace
 //	GET  /agents/{key}  trained-agent snapshot bytes from the shared store
-//	PUT  /agents/{key}  publish a trained-agent snapshot (validated JSON)
 //
 // Leased cells are simulation jobs (WireJob kind "") or training cells
 // (kind "train"); a training cell's result bytes are the trained-agent
-// snapshot, validated to restore before any store sees it. The agents
-// endpoints are the per-worker trained-agent snapshot exchange: snapshots
-// live in the same content-addressed store as simulation results (keyed by
-// TrainSpec.Key), so a fig10-style training cell finished on any machine
-// warms every other machine through the coordinator — and workers leasing
-// hybrid-by-agent-key simulation cells fetch the snapshot here too.
+// snapshot, validated to restore before any store sees it. The coordinator's
+// store is the fleet's only shared store, and POST /result under a lease is
+// the only remote way to write into it. Snapshots live there beside
+// simulation results (keyed by TrainSpec.Key), and workers leasing
+// hybrid-by-agent-key simulation cells fetch them read-only through
+// GET /agents/{key}.
 
 // LeaseRequest asks the coordinator for up to Max cells. LeaseErrors is
 // the worker's cumulative count of failed lease attempts, self-reported
@@ -114,18 +111,18 @@ type DrainResponse struct {
 }
 
 // keyPattern is what a content address looks like: lowercase SHA-256 hex.
-// The agents endpoints reject anything else so a crafted path can never
+// The agents endpoint rejects anything else so a crafted path can never
 // escape the store's key space.
 var keyPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
-// maxResultBytes bounds request bodies (results and snapshots). Canonical
+// maxResultBytes bounds result and snapshot bodies on the wire. Canonical
 // results are a few KB; DQN snapshots tens of KB. 32 MiB is paranoia, not a
 // target.
 const maxResultBytes = 32 << 20
 
 // WorkHandler builds the coordinator HTTP handler over a queue and the
-// shared store (which backs the agent exchange). Mount it under a prefix
-// with http.StripPrefix.
+// shared store (which GET /agents reads). Mount it under a prefix with
+// http.StripPrefix.
 func WorkHandler(q *WorkQueue, store ResultStore) http.Handler {
 	mux := http.NewServeMux()
 	writeJSON := func(w http.ResponseWriter, code int, v any) {
@@ -183,7 +180,7 @@ func WorkHandler(q *WorkQueue, store ResultStore) http.Handler {
 			writeErr(w, http.StatusBadRequest, "result submission needs worker_id and key")
 			return
 		}
-		// Same key discipline as the agents endpoints: a content address is
+		// Same key discipline as the agents endpoint: a content address is
 		// 64 hex chars, and nothing else may reach the store's path logic
 		// (the unknown-key banking path writes Store.Put(key, ...) — an
 		// unvalidated "../../x" key would escape the cache directory).
@@ -317,37 +314,6 @@ func WorkHandler(q *WorkQueue, store ResultStore) http.Handler {
 		w.Write(data)
 	})
 
-	mux.HandleFunc("PUT /agents/{key}", func(w http.ResponseWriter, r *http.Request) {
-		key := r.PathValue("key")
-		if !keyPattern.MatchString(key) {
-			writeErr(w, http.StatusBadRequest, "malformed key %q", key)
-			return
-		}
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResultBytes))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "read snapshot: %v", err)
-			return
-		}
-		// Snapshots are keyed by training *inputs*, not bytes, so the hash
-		// cannot be verified here. Validation is the /result path's instead:
-		// the payload must be a trained-agent snapshot whose agent restores
-		// and that re-encodes to exactly these bytes (invariant 5). This
-		// keeps a buggy publisher (key/data swapped, result bytes under an
-		// agent key) — or any stray or padded JSON — from overwriting
-		// entries in the shared store through this endpoint; the /result
-		// path stays the only way to write simulation results, and it
-		// validates under a lease.
-		if err := validateWireResult(KindTrain, data); err != nil {
-			writeErr(w, http.StatusUnprocessableEntity, "body under %s: %v", key, err)
-			return
-		}
-		if err := store.Put(key, data); err != nil {
-			writeErr(w, http.StatusInternalServerError, "store snapshot: %v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-
 	return mux
 }
 
@@ -376,102 +342,6 @@ func WithBearerAuth(token string, h http.Handler) http.Handler {
 		}
 		h.ServeHTTP(w, r)
 	})
-}
-
-// AgentExchange is the worker-side tier of the trained-agent snapshot
-// exchange: a ResultStore that reads through to the coordinator's store
-// over HTTP and publishes local training results back. Point TrainCell (or
-// TrainCells) at one and a training cell finished on any machine in the
-// fleet is a cache hit on every other — the cross-machine analogue of the
-// in-process trained-agent cache, with the same inference-exact snapshot
-// bytes, so warm and cold machines produce byte-identical results.
-type AgentExchange struct {
-	Coordinator string       // coordinator base URL (the /work mount), e.g. http://host:8080/work
-	Client      *http.Client // nil = http.DefaultClient
-	Local       ResultStore  // local tier; fetched snapshots are cached here
-	Token       string       // bearer token for coordinators behind WithBearerAuth ("" = none)
-}
-
-// NewAgentExchange builds an exchange over a local store (nil = fresh
-// in-memory store).
-func NewAgentExchange(coordinator string, local ResultStore) *AgentExchange {
-	if local == nil {
-		local = NewMemStore()
-	}
-	return &AgentExchange{Coordinator: coordinator, Local: local}
-}
-
-// exchangeClient bounds every AgentExchange request: the exchange sits on
-// the cache-miss path of pools and training cells, where an unbounded
-// request against a wedged coordinator would hang the whole run (and the
-// CLI's -timeout context is not threaded through ResultStore.Get).
-var exchangeClient = &http.Client{Timeout: 30 * time.Second}
-
-func (x *AgentExchange) client() *http.Client {
-	if x.Client != nil {
-		return x.Client
-	}
-	return exchangeClient
-}
-
-func (x *AgentExchange) setAuth(req *http.Request) {
-	if x.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+x.Token)
-	}
-}
-
-// Get consults the local tier, then the coordinator; remote hits are cached
-// locally.
-func (x *AgentExchange) Get(key string) ([]byte, bool) {
-	if data, ok := x.Local.Get(key); ok {
-		return data, true
-	}
-	req, err := http.NewRequest(http.MethodGet, x.Coordinator+"/agents/"+key, nil)
-	if err != nil {
-		return nil, false
-	}
-	x.setAuth(req)
-	resp, err := x.client().Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
-	if err != nil {
-		return nil, false
-	}
-	_ = x.Local.Put(key, data)
-	return data, true
-}
-
-// Put stores locally and publishes to the coordinator (best effort: a
-// network failure costs fleet-wide memoization, never the local result).
-// Only restorable trained-agent snapshots are published — the exchange
-// doubles as an ordinary ResultStore (simulation results flow through it
-// when it fronts a pool's cache), and the coordinator's endpoint would
-// reject anything else anyway, so non-snapshot payloads skip the network
-// round-trip entirely.
-func (x *AgentExchange) Put(key string, data []byte) error {
-	if err := x.Local.Put(key, data); err != nil {
-		return err
-	}
-	if _, err := restoreTrained(data); err != nil {
-		return nil
-	}
-	req, err := http.NewRequest(http.MethodPut, x.Coordinator+"/agents/"+key, bytes.NewReader(data))
-	if err != nil {
-		return nil
-	}
-	req.Header.Set("Content-Type", "application/json")
-	x.setAuth(req)
-	if resp, err := x.client().Do(req); err == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		resp.Body.Close()
-	}
-	return nil
 }
 
 // LeaseTTL exposes the queue's lease duration (for worker status lines).
