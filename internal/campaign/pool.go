@@ -167,8 +167,8 @@ func (p *Pool) runOne(j *Job, worker int) *Outcome {
 				cPoolHit.Inc()
 				return o
 			}
-			// A corrupt entry falls through to a fresh simulation that will
-			// overwrite it.
+			// A corrupt or non-canonical entry falls through to a fresh
+			// simulation that will overwrite it.
 		}
 	}
 

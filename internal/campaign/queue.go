@@ -61,8 +61,10 @@ import (
 //   - The first valid result wins; duplicate submissions — the expired
 //     worker finishing late — are acknowledged as duplicates and change
 //     nothing.
-//   - A result that fails sim.DecodeResult is rejected before any waiter
-//     (and therefore any store) sees it, and the cell is re-queued.
+//   - A result that is not the canonical bytes of its cell's kind (a
+//     sim.EncodeResult result, or a restorable trained-agent snapshot) is
+//     rejected before any waiter (and therefore any store) sees it, and
+//     the cell is re-queued.
 //   - Error or malformed submissions from a worker that no longer holds
 //     the lease (it expired and the cell moved on) are ignored: a stale
 //     failure must not re-queue or fail a cell a healthy worker is
@@ -468,8 +470,7 @@ func (q *WorkQueue) CompleteSpans(workerID, key string, data []byte, workerErr s
 	// bytes: a malformed result must not poison the content-addressed
 	// store, whose entries are trusted as canonical on every warm run.
 	// Validation is per-kind — a training cell's bytes must be a
-	// trained-agent snapshot whose agent restores, not merely JSON that
-	// sim.DecodeResult tolerates.
+	// trained-agent snapshot whose agent restores, not a sim result.
 	if err := validateWireResult(c.wire.Kind, data); err != nil {
 		q.rejects++
 		cQRejects.Inc()

@@ -118,9 +118,9 @@ func TestWireTrainRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTrainResultValidatedAsSnapshot pins the per-kind validation: bytes
-// that merely decode as a (zero) sim result must not complete a training
-// cell — only a restorable trained-agent snapshot may.
+// TestTrainResultValidatedAsSnapshot pins the per-kind validation: a
+// canonical (zero) sim result must not complete a training cell — only a
+// restorable trained-agent snapshot may.
 func TestTrainResultValidatedAsSnapshot(t *testing.T) {
 	q := NewWorkQueue(time.Minute)
 	fakeClock(q)
@@ -133,8 +133,12 @@ func TestTrainResultValidatedAsSnapshot(t *testing.T) {
 		}
 	})
 	q.Lease("w1", 1)
-	// "{}" passes sim.DecodeResult but is not a snapshot.
-	if st := q.Complete("w1", w.Key, []byte("{}"), ""); st != CompleteRejected {
+	// The zero result passes sim.DecodeResult but is not a snapshot.
+	zero, err := sim.EncodeResult(&sim.Result{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := q.Complete("w1", w.Key, zero, ""); st != CompleteRejected {
 		t.Fatalf("non-snapshot bytes: %v (want rejected)", st)
 	}
 	if calls.Load() != 0 {

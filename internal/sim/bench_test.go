@@ -9,9 +9,12 @@ package sim
 // Regenerate the committed BENCH_*.json baseline (and gate the pinned
 // Minstr/s throughput metrics against the prior one) with:
 //
-//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine|BenchmarkHierarchyAccess' -benchmem -benchtime 0.5s -count 3 ./internal/sim/ ./internal/cache/
+//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine|BenchmarkHierarchyAccess|BenchmarkEncodeResult|BenchmarkDecodeResult' -benchmem -benchtime 0.5s -count 3 ./internal/sim/ ./internal/cache/
 //	 go test -run '^$' -bench 'BenchmarkObserve' -benchmem -benchtime 0.5s -count 3 ./internal/rl/) \
-//	  | go run ./cmd/astro-bench -o BENCH_16.json -prev BENCH_15.json -max-regress 15
+//	  | go run ./cmd/astro-bench -o BENCH_19.json -prev BENCH_18.json -max-regress 15
+//
+// The result codec's rungs (BenchmarkEncodeResult, BenchmarkDecodeResult,
+// in codec_test.go) are recorded but not gated.
 
 import (
 	"fmt"
