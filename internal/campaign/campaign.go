@@ -104,8 +104,9 @@ type Job struct {
 
 // ModuleHash returns the content hash of a module's IR encoding.
 func ModuleHash(m *ir.Module) string {
-	sum := sha256.Sum256(ir.Encode(m))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	ir.EncodeTo(h, m) // a hash.Hash never returns a write error
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // moduleHash returns the job's module hash, computing it once per job.

@@ -117,10 +117,9 @@ func (s *Spec) Validate() error {
 	if _, err := workloads.Expand(s.Benchmarks); err != nil {
 		return err
 	}
-	for _, p := range s.platforms() {
-		if _, err := hw.ByName(p); err != nil {
-			return err
-		}
+	plats, err := s.resolvePlatforms()
+	if err != nil {
+		return err
 	}
 	for _, tok := range s.schedulers() {
 		osName, actName, err := schedToken(tok)
@@ -132,11 +131,7 @@ func (s *Spec) Validate() error {
 		}
 		// Actuators are validated against every target platform: a
 		// "fixed:<cfg>" config can be legal on one board and not another.
-		for _, pn := range s.platforms() {
-			plat, err := hw.ByName(pn)
-			if err != nil {
-				return err
-			}
+		for _, plat := range plats {
 			if _, err := buildActuator(actName, plat); err != nil {
 				return err
 			}
@@ -150,17 +145,27 @@ func (s *Spec) Validate() error {
 		if err != nil {
 			return err
 		}
-		for _, pn := range s.platforms() {
-			plat, err := hw.ByName(pn)
-			if err != nil {
-				return err
-			}
+		for i, plat := range plats {
 			if !cfg.Valid(plat.MaxLittle(), plat.MaxBig()) {
-				return fmt.Errorf("campaign: config %v invalid on %s", cfg, pn)
+				return fmt.Errorf("campaign: config %v invalid on %s", cfg, s.platforms()[i])
 			}
 		}
 	}
 	return nil
+}
+
+// resolvePlatforms builds each named platform once, in spec order.
+func (s *Spec) resolvePlatforms() ([]*hw.Platform, error) {
+	names := s.platforms()
+	plats := make([]*hw.Platform, len(names))
+	for i, name := range names {
+		plat, err := hw.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		plats[i] = plat
+	}
+	return plats, nil
 }
 
 func (s *Spec) platforms() []string {
@@ -224,31 +229,37 @@ func (s *Spec) Expand() ([]*Job, error) {
 		mods[i] = compiled{mod: mod, hash: ModuleHash(mod), args: args}
 	}
 
+	// Each platform is built once for the whole grid, after the compile
+	// loop so a compile error still comes first.
+	plats, err := s.resolvePlatforms()
+	if err != nil {
+		return nil, err
+	}
+	platCfgs := make([][]hw.Config, len(plats))
+	for p, plat := range plats {
+		for _, c := range s.configs() {
+			switch c {
+			case "all":
+				platCfgs[p] = append(platCfgs[p], plat.Configs()...)
+			case "all-on":
+				platCfgs[p] = append(platCfgs[p], hw.Config{}) // zero = all cores on
+			default:
+				cfg, err := hw.ParseConfig(c)
+				if err != nil {
+					return nil, err
+				}
+				if !cfg.Valid(plat.MaxLittle(), plat.MaxBig()) {
+					return nil, fmt.Errorf("campaign: config %v invalid on %s", cfg, s.platforms()[p])
+				}
+				platCfgs[p] = append(platCfgs[p], cfg)
+			}
+		}
+	}
+
 	var jobs []*Job
 	for i, ws := range specs {
-		for _, platName := range s.platforms() {
-			plat, err := hw.ByName(platName)
-			if err != nil {
-				return nil, err
-			}
-			var cfgs []hw.Config
-			for _, c := range s.configs() {
-				switch c {
-				case "all":
-					cfgs = append(cfgs, plat.Configs()...)
-				case "all-on":
-					cfgs = append(cfgs, hw.Config{}) // zero = all cores on
-				default:
-					cfg, err := hw.ParseConfig(c)
-					if err != nil {
-						return nil, err
-					}
-					if !cfg.Valid(plat.MaxLittle(), plat.MaxBig()) {
-						return nil, fmt.Errorf("campaign: config %v invalid on %s", cfg, platName)
-					}
-					cfgs = append(cfgs, cfg)
-				}
-			}
+		for p, platName := range s.platforms() {
+			cfgs := platCfgs[p]
 			for _, tok := range s.schedulers() {
 				osName, actName, err := schedToken(tok)
 				if err != nil {

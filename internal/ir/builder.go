@@ -1,11 +1,17 @@
 package ir
 
 // Builder provides a convenient way to construct functions, used by the
-// front end's lowering phase and by tests that need hand-built CFGs.
+// front end's lowering phase and by tests that need hand-built CFGs. A
+// front end may point one Builder at each function of a module in turn
+// (set F, then SetBlock), so the functions share its instruction slabs.
 type Builder struct {
 	M   *Module
 	F   *Function
 	cur *Block
+
+	// Emit fills blocks from a shared slab of instructions; see Emit.
+	tail *Block  // the block that owns the slab's free space
+	free []Instr // zero length; its capacity is the slab's free space
 }
 
 // NewModule creates an empty module.
@@ -50,9 +56,35 @@ func (b *Builder) SetBlock(blk *Block) { b.cur = blk }
 // Block returns the current insertion block.
 func (b *Builder) Block() *Block { return b.cur }
 
+// minSlab is the instruction capacity of a new slab (8 KiB); a block that
+// outgrows its slab moves to a fresh one of at least twice its length.
+const minSlab = 128
+
 // Emit appends an instruction to the current block.
+//
+// A front end fills each block in one run, so blocks take their
+// instructions from a shared slab instead of growing one slice each: an
+// empty block that Emit starts filling owns the slab's free space and
+// grows in place. Emitting into another block caps the owner at its
+// length, so a later append to it copies rather than overwriting the
+// instructions after it.
 func (b *Builder) Emit(in Instr) {
-	b.cur.Instrs = append(b.cur.Instrs, in)
+	blk := b.cur
+	if blk != b.tail {
+		if t := b.tail; t != nil {
+			n := len(t.Instrs)
+			b.free, t.Instrs = t.Instrs[n:n], t.Instrs[:n:n]
+			b.tail = nil
+		}
+		if len(blk.Instrs) == 0 {
+			blk.Instrs, b.tail = b.free, blk
+		}
+	}
+	if blk == b.tail && len(blk.Instrs) == cap(blk.Instrs) {
+		slab := make([]Instr, 0, max(minSlab, 2*len(blk.Instrs)))
+		blk.Instrs = append(slab, blk.Instrs...)
+	}
+	blk.Instrs = append(blk.Instrs, in)
 }
 
 // ConstI emits an integer constant into a fresh register.

@@ -3,6 +3,7 @@ package ir
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -19,7 +20,13 @@ import (
 
 const encMagic = "ASTROIR1"
 
-type encoder struct{ buf []byte }
+// encoder appends to buf; with a writer w, EncodeTo flushes buf to w as
+// it fills.
+type encoder struct {
+	buf []byte
+	w   io.Writer
+	err error
+}
 
 func (e *encoder) u64(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *encoder) i64(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
@@ -137,7 +144,27 @@ func (d *decoder) str() string {
 
 // Encode serializes the module to the compact binary format.
 func Encode(m *Module) []byte {
-	e := &encoder{buf: append([]byte(nil), encMagic...)}
+	var e encoder
+	e.module(m)
+	return e.buf
+}
+
+// encChunk is EncodeTo's buffer size. It flushes at half full, checked
+// after each instruction, so the buffer grows only for a name or an
+// argument list that does not fit in the other half.
+const encChunk = 2048
+
+// EncodeTo writes the bytes Encode returns to w through a fixed-size
+// buffer, without building the whole encoding in memory.
+func EncodeTo(w io.Writer, m *Module) error {
+	e := encoder{buf: make([]byte, 0, encChunk), w: w}
+	e.module(m)
+	e.flush()
+	return e.err
+}
+
+func (e *encoder) module(m *Module) {
+	e.buf = append(e.buf, encMagic...)
 	e.str(m.Name)
 	e.u64(uint64(m.NumMutex))
 	e.u64(uint64(m.NumBarrier))
@@ -183,10 +210,21 @@ func Encode(m *Module) []byte {
 				for _, a := range in.Args {
 					e.i64(int64(a))
 				}
+				if e.w != nil && len(e.buf) >= encChunk/2 {
+					e.flush()
+				}
 			}
 		}
 	}
-	return e.buf
+}
+
+// flush hands the buffered bytes to the writer; after the first write
+// error it only discards them.
+func (e *encoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
 }
 
 // Decode parses a module previously produced by Encode.

@@ -1,9 +1,12 @@
 package ir
 
 import (
+	"bytes"
 	"encoding/hex"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -228,5 +231,45 @@ func TestEncodedSizeGrowsWithInstrumentation(t *testing.T) {
 	after := EncodedSize(m)
 	if after <= before {
 		t.Errorf("instrumented size %d <= original %d", after, before)
+	}
+}
+
+type failingWriter struct{ n int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errors.New("disk full")
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestEncodeToMatchesEncode pins EncodeTo to Encode's bytes, across flushes
+// of its fixed buffer and with a name longer than the buffer.
+func TestEncodeToMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	mods := []*Module{NewModule("")}
+	for trial := 0; trial < 50; trial++ {
+		mods = append(mods, randomModule(rng))
+	}
+	big := randomModule(rng)
+	big.Name = strings.Repeat("n", 3*encChunk)
+	b := NewBuilder(big, strings.Repeat("f", encChunk+1), nil, TVoid)
+	for i := 0; i < 10*encChunk; i++ {
+		b.ConstF(rng.NormFloat64())
+	}
+	b.Ret(NoReg)
+	mods = append(mods, big)
+	for i, m := range mods {
+		var buf bytes.Buffer
+		if err := EncodeTo(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		if want := Encode(m); !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("module %d: EncodeTo wrote %d bytes, Encode returns %d", i, buf.Len(), len(want))
+		}
+	}
+	if err := EncodeTo(&failingWriter{n: 2}, big); err == nil || err.Error() != "disk full" {
+		t.Fatalf("EncodeTo over a failing writer: err = %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -239,4 +240,62 @@ func TestClassCounts(t *testing.T) {
 	if mc.Total != c.Total {
 		t.Errorf("module count %d != func count %d", mc.Total, c.Total)
 	}
+}
+
+// TestBuilderSlabKeepsBlocksApart emits into blocks in a random order,
+// revisiting old ones and crossing slab boundaries, and checks every block
+// holds exactly what was emitted into it. Appending to a finished block
+// afterwards, as an optimisation pass might, must not touch another block.
+func TestBuilderSlabKeepsBlocksApart(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	m := NewModule("slab")
+	var b Builder
+	b.M = m
+	type ref struct {
+		blk  *Block
+		want []int64
+	}
+	var refs []*ref
+	imm := int64(0)
+	for f := 0; f < 3; f++ {
+		b.F = &Function{Name: "f"}
+		for step := 0; step < 2000; step++ {
+			var r *ref
+			switch {
+			case len(refs) == 0 || rng.Intn(8) == 0:
+				r = &ref{blk: b.NewBlock()}
+				refs = append(refs, r)
+			case rng.Intn(4) == 0:
+				r = refs[rng.Intn(len(refs))]
+			default:
+				r = refs[len(refs)-1]
+			}
+			b.SetBlock(r.blk)
+			for k := rng.Intn(3*minSlab/2) / (1 + rng.Intn(8)); k >= 0; k-- {
+				imm++
+				b.Emit(Instr{Op: OpConstI, Imm: imm})
+				r.want = append(r.want, imm)
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, r := range refs {
+			if len(r.blk.Instrs) != len(r.want) {
+				t.Fatalf("%s: block %d holds %d instructions, want %d", when, i, len(r.blk.Instrs), len(r.want))
+			}
+			for j, in := range r.blk.Instrs {
+				if in.Imm != r.want[j] {
+					t.Fatalf("%s: block %d instruction %d is %d, want %d", when, i, j, in.Imm, r.want[j])
+				}
+			}
+		}
+	}
+	check("after building")
+	for _, r := range refs {
+		imm++
+		r.blk.Instrs = append(r.blk.Instrs, Instr{Op: OpConstI, Imm: imm})
+		r.want = append(r.want, imm)
+	}
+	check("after appending to every block")
 }

@@ -28,8 +28,10 @@ func MustCompile(name, src string) *ir.Module {
 
 // CompileFile lowers a parsed file.
 func CompileFile(name string, file *File) (*ir.Module, error) {
+	mod := ir.NewModule(name)
 	c := &compiler{
-		mod:      ir.NewModule(name),
+		mod:      mod,
+		b:        ir.Builder{M: mod},
 		funcs:    map[string]*FuncDecl{},
 		globals:  map[string]globalSym{},
 		mutexes:  map[string]mutexSym{},
@@ -62,6 +64,7 @@ type mutexSym struct {
 
 type compiler struct {
 	mod      *ir.Module
+	b        ir.Builder // re-pointed at each function, so they share its slab
 	funcs    map[string]*FuncDecl
 	globals  map[string]globalSym
 	mutexes  map[string]mutexSym
@@ -178,9 +181,10 @@ type funcLower struct {
 func (c *compiler) lowerFunc(fd *FuncDecl) error {
 	idx := c.mod.FuncIndex[fd.Name]
 	f := c.mod.Funcs[idx]
-	// Point an ir.Builder at the pre-created function (signatures were
+	// Point the builder at the pre-created function (signatures were
 	// registered in collect so forward references resolve).
-	bb := &ir.Builder{M: c.mod, F: f}
+	bb := &c.b
+	bb.F = f
 	entry := &ir.Block{ID: 0}
 	f.Blocks = append(f.Blocks, entry)
 	bb.SetBlock(entry)

@@ -1,10 +1,172 @@
 package lang
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// referenceKeywords is the keyword table lexReference looks words up in.
+var referenceKeywords = map[string]TokKind{
+	"func": TFunc, "var": TVar, "if": TIf, "else": TElse, "while": TWhile,
+	"for": TFor, "return": TReturn, "break": TBreak, "continue": TContinue,
+	"spawn": TSpawn, "mutex": TMutex, "barrier": TBarrier,
+	"true": TTrue, "false": TFalse,
+	"int": TKwInt, "float": TKwFloat, "bool": TKwBool,
+}
+
+// lexReference is the whole-file lexer the pull scanner replaced, kept
+// as the oracle FuzzCompile checks Lex and Parse's error precedence
+// against: it must give the same tokens, or the same first error.
+func lexReference(src string) ([]Token, error) {
+	var toks []Token
+	line, col := 1, 1
+	i := 0
+	n := len(src)
+	advance := func(k int) {
+		for j := 0; j < k; j++ {
+			if src[i] == '\n' {
+				line++
+				col = 1
+			} else {
+				col++
+			}
+			i++
+		}
+	}
+	for i < n {
+		c := src[i]
+		switch {
+		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+			advance(1)
+		case c == '/' && i+1 < n && src[i+1] == '/':
+			for i < n && src[i] != '\n' {
+				advance(1)
+			}
+		case isAlpha(c):
+			start, l0, c0 := i, line, col
+			for i < n && (isAlpha(src[i]) || isDigit(src[i])) {
+				advance(1)
+			}
+			word := src[start:i]
+			if k, ok := referenceKeywords[word]; ok {
+				toks = append(toks, Token{Kind: k, Text: word, Line: l0, Col: c0})
+			} else {
+				toks = append(toks, Token{Kind: TIdent, Text: word, Line: l0, Col: c0})
+			}
+		case isDigit(c):
+			start, l0, c0 := i, line, col
+			isFloat := false
+			for i < n && isDigit(src[i]) {
+				advance(1)
+			}
+			if i < n && src[i] == '.' && i+1 < n && isDigit(src[i+1]) {
+				isFloat = true
+				advance(1)
+				for i < n && isDigit(src[i]) {
+					advance(1)
+				}
+			}
+			if i < n && (src[i] == 'e' || src[i] == 'E') {
+				j := i + 1
+				if j < n && (src[j] == '+' || src[j] == '-') {
+					j++
+				}
+				if j < n && isDigit(src[j]) {
+					isFloat = true
+					advance(j - i)
+					for i < n && isDigit(src[i]) {
+						advance(1)
+					}
+				}
+			}
+			text := src[start:i]
+			if isFloat {
+				f, err := strconv.ParseFloat(text, 64)
+				if err != nil {
+					return nil, errf(l0, c0, "bad float literal %q: %v", text, err)
+				}
+				toks = append(toks, Token{Kind: TFloatLit, Text: text, F: f, Line: l0, Col: c0})
+			} else {
+				v, err := strconv.ParseInt(text, 10, 64)
+				if err != nil {
+					return nil, errf(l0, c0, "bad int literal %q: %v", text, err)
+				}
+				toks = append(toks, Token{Kind: TIntLit, Text: text, Int: v, Line: l0, Col: c0})
+			}
+		default:
+			l0, c0 := line, col
+			two := ""
+			if i+1 < n {
+				two = src[i : i+2]
+			}
+			var k TokKind
+			var txt string
+			switch two {
+			case "==":
+				k, txt = TEq, two
+			case "!=":
+				k, txt = TNe, two
+			case "<=":
+				k, txt = TLe, two
+			case ">=":
+				k, txt = TGe, two
+			case "&&":
+				k, txt = TAndAnd, two
+			case "||":
+				k, txt = TOrOr, two
+			}
+			if txt != "" {
+				advance(2)
+				toks = append(toks, Token{Kind: k, Text: txt, Line: l0, Col: c0})
+				continue
+			}
+			switch c {
+			case '(':
+				k = TLParen
+			case ')':
+				k = TRParen
+			case '{':
+				k = TLBrace
+			case '}':
+				k = TRBrace
+			case '[':
+				k = TLBrack
+			case ']':
+				k = TRBrack
+			case ',':
+				k = TComma
+			case ';':
+				k = TSemi
+			case '=':
+				k = TAssign
+			case '<':
+				k = TLt
+			case '>':
+				k = TGt
+			case '+':
+				k = TPlus
+			case '-':
+				k = TMinus
+			case '*':
+				k = TStar
+			case '/':
+				k = TSlash
+			case '%':
+				k = TPercent
+			case '!':
+				k = TBang
+			default:
+				return nil, errf(l0, c0, "unexpected character %q", string(c))
+			}
+			advance(1)
+			toks = append(toks, Token{Kind: k, Text: string(c), Line: l0, Col: c0})
+		}
+	}
+	toks = append(toks, Token{Kind: TEOF, Line: line, Col: col})
+	return toks, nil
+}
 
 func lexKinds(t *testing.T, src string) []TokKind {
 	t.Helper()
@@ -141,5 +303,19 @@ func TestFormatTokens(t *testing.T) {
 	got := FormatTokens(toks)
 	if !strings.Contains(got, "x") || !strings.Contains(got, "1") {
 		t.Errorf("FormatTokens = %q", got)
+	}
+}
+
+func TestKeywordTable(t *testing.T) {
+	for word, k := range referenceKeywords {
+		if got := keyword(word); got != k {
+			t.Errorf("keyword(%q) = %v, want %v", word, got, k)
+		}
+		if got := keyword(word + "x"); got != TIdent {
+			t.Errorf("keyword(%q) = %v, want identifier", word+"x", got)
+		}
+	}
+	if n := int(TKwBool-TFunc) + 1; len(referenceKeywords) != n {
+		t.Errorf("%d keywords, %d keyword kinds", len(referenceKeywords), n)
 	}
 }

@@ -2,33 +2,43 @@ package lang
 
 import "fmt"
 
-// Parse lexes and parses an astc source file.
+// Parse parses an astc source file. The parser pulls tokens from a scanner
+// with one token of lookahead. A lexical error anywhere in the file
+// outranks a syntax error, as if the whole file were lexed first: after a
+// syntax error the parser drains the scanner and reports the first
+// lexical error if there is one.
 func Parse(src string) (*File, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
+	p := &parser{s: newScanner(src)}
+	p.tok = p.s.scan()
+	f, err := p.file()
+	if lexErr := p.s.drain(); lexErr != nil {
+		return nil, lexErr
 	}
-	p := &parser{toks: toks}
-	return p.file()
+	return f, err
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	s        scanner
+	tok      Token // current token
+	ahead    Token // the token after tok, once peek has scanned it
+	hasAhead bool
 }
 
-func (p *parser) cur() Token { return p.toks[p.pos] }
+func (p *parser) cur() Token { return p.tok }
+
 func (p *parser) peek() Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+	if !p.hasAhead {
+		p.ahead, p.hasAhead = p.s.scan(), true
 	}
-	return p.toks[len(p.toks)-1]
+	return p.ahead
 }
 
+// next consumes the current token and returns it; at TEOF it stays put.
 func (p *parser) next() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != TEOF {
+		p.tok = p.peek()
+		p.hasAhead = false
 	}
 	return t
 }

@@ -208,3 +208,21 @@ func errorAs(err error, target **Error) bool {
 	}
 	return ok
 }
+
+// TestParseLexicalErrorFirst pins the error precedence of lexing the whole
+// file before parsing: the first lexical error wins over any syntax error,
+// before or after it, and over a file that parses up to it.
+func TestParseLexicalErrorFirst(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"func f() { x = ; }\n\nvar y @ int;", "line 3:7: unexpected character \"@\""},
+		{"func f() { $ = 1; }\nfunc", "line 1:12: unexpected character \"$\""},
+		{"func f() { }\n99999999999999999999", "line 2:1: bad int literal"},
+		{"func f() { return 1e999; } func", "line 1:19: bad float literal"},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("Parse(%q) error %v, want prefix %q", c.src, err, c.want)
+		}
+	}
+}

@@ -86,12 +86,45 @@ func (k TokKind) String() string {
 	return fmt.Sprintf("token(%d)", uint8(k))
 }
 
-var keywords = map[string]TokKind{
-	"func": TFunc, "var": TVar, "if": TIf, "else": TElse, "while": TWhile,
-	"for": TFor, "return": TReturn, "break": TBreak, "continue": TContinue,
-	"spawn": TSpawn, "mutex": TMutex, "barrier": TBarrier,
-	"true": TTrue, "false": TFalse,
-	"int": TKwInt, "float": TKwFloat, "bool": TKwBool,
+// keyword returns the kind of a word: a keyword's own kind, or TIdent.
+func keyword(word string) TokKind {
+	switch word {
+	case "func":
+		return TFunc
+	case "var":
+		return TVar
+	case "if":
+		return TIf
+	case "else":
+		return TElse
+	case "while":
+		return TWhile
+	case "for":
+		return TFor
+	case "return":
+		return TReturn
+	case "break":
+		return TBreak
+	case "continue":
+		return TContinue
+	case "spawn":
+		return TSpawn
+	case "mutex":
+		return TMutex
+	case "barrier":
+		return TBarrier
+	case "true":
+		return TTrue
+	case "false":
+		return TFalse
+	case "int":
+		return TKwInt
+	case "float":
+		return TKwFloat
+	case "bool":
+		return TKwBool
+	}
+	return TIdent
 }
 
 // Token is a lexed token with source position.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -492,5 +494,64 @@ func TestActiveListsMatchScan(t *testing.T) {
 	}
 	if m.switches < 200 {
 		t.Fatalf("only %d configuration changes applied", m.switches)
+	}
+}
+
+// TestPrintOutputOnlyWhenCaptured runs a print-heavy program with capture
+// on, off and truncated, on both tiers. The print builtins format a value
+// only when it is kept, so capture must change Output and OutputTrunc and
+// not one other byte of the result.
+func TestPrintOutputOnlyWhenCaptured(t *testing.T) {
+	mod := compile(t, `
+func main(n int) {
+	var i int;
+	for (i = 0; i < n; i = i + 1) {
+		print_int(i * 37 - 500);
+		print_float(float(i) / 8.0 - 3.0);
+		print_char(65 + i % 26);
+	}
+}`)
+	const n = 200
+	var want []string
+	for i := 0; i < n; i++ {
+		want = append(want, fmt.Sprintf("%d", i*37-500), fmt.Sprintf("%g", float64(i)/8-3), string(rune(65+i%26)))
+	}
+	for _, legacy := range []bool{false, true} {
+		runWith := func(capture bool, maxOutput int) *Result {
+			t.Helper()
+			m, err := New(mod, hw.OdroidXU4(), Options{Args: []int64{n}, Seed: 3, CaptureOutput: capture, MaxOutput: maxOutput, LegacyInterp: legacy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		encodeWithout := func(r *Result) string {
+			t.Helper()
+			c := *r
+			c.Output, c.OutputTrunc = nil, false
+			b, err := EncodeResult(&c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(b)
+		}
+		on, off, trunc := runWith(true, 0), runWith(false, 0), runWith(true, 50)
+		if !reflect.DeepEqual(on.Output, want) || on.OutputTrunc {
+			t.Fatalf("legacy=%t: captured %d lines (trunc %t), want %d", legacy, len(on.Output), on.OutputTrunc, len(want))
+		}
+		if off.Output != nil || off.OutputTrunc {
+			t.Fatalf("legacy=%t: capture off kept %d lines (trunc %t)", legacy, len(off.Output), off.OutputTrunc)
+		}
+		if !reflect.DeepEqual(trunc.Output, want[:50]) || !trunc.OutputTrunc {
+			t.Fatalf("legacy=%t: MaxOutput 50 kept %d lines (trunc %t)", legacy, len(trunc.Output), trunc.OutputTrunc)
+		}
+		base := encodeWithout(on)
+		if encodeWithout(off) != base || encodeWithout(trunc) != base {
+			t.Fatalf("legacy=%t: capture changed result bytes beyond Output", legacy)
+		}
 	}
 }

@@ -192,20 +192,19 @@ func (m *Machine) execSyncBuiltin(c *core, t *Thread, fr *frame, in *ir.Instr, b
 		m.wakeAt(t, m.now+m.jitter(m.opts.FileReadLatencyS, 0.5))
 		return stBlocked
 
-	case ir.BPrintInt:
-		m.emit(fmt.Sprintf("%d", argI(0)))
-		m.blockThread(t, brIO)
-		m.wakeAt(t, m.now+m.jitter(m.opts.WriteLatencyS, 0.3))
-		return stBlocked
-
-	case ir.BPrintFloat:
-		m.emit(fmt.Sprintf("%g", argF(0)))
-		m.blockThread(t, brIO)
-		m.wakeAt(t, m.now+m.jitter(m.opts.WriteLatencyS, 0.3))
-		return stBlocked
-
-	case ir.BPrintChar:
-		m.emit(string(rune(argI(0))))
+	case ir.BPrintInt, ir.BPrintFloat, ir.BPrintChar:
+		if m.keepsOutput() {
+			var s string
+			switch id {
+			case ir.BPrintInt:
+				s = fmt.Sprintf("%d", argI(0))
+			case ir.BPrintFloat:
+				s = fmt.Sprintf("%g", argF(0))
+			default:
+				s = string(rune(argI(0)))
+			}
+			m.output = append(m.output, s)
+		}
 		m.blockThread(t, brIO)
 		m.wakeAt(t, m.now+m.jitter(m.opts.WriteLatencyS, 0.3))
 		return stBlocked
@@ -225,16 +224,18 @@ func (m *Machine) execSyncBuiltin(c *core, t *Thread, fr *frame, in *ir.Instr, b
 	return stErr
 }
 
-// emit records program output when capture is enabled.
-func (m *Machine) emit(s string) {
+// keepsOutput reports whether the next printed value is recorded, so the
+// print builtins format a value only when it is kept: capture is on and
+// under MaxOutput. A print past MaxOutput marks the output truncated.
+func (m *Machine) keepsOutput() bool {
 	if !m.opts.CaptureOutput {
-		return
+		return false
 	}
 	if len(m.output) >= m.opts.MaxOutput {
 		m.outTrunc = true
-		return
+		return false
 	}
-	m.output = append(m.output, s)
+	return true
 }
 
 // requestConfig applies a hardware configuration change: newly disabled
