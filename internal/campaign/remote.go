@@ -22,8 +22,10 @@ import (
 //     workers performs zero fresh work anywhere. A stored entry that does
 //     not decode is leased afresh, and its validated result overwrites it.
 //   - every other cell is wired and enqueued — hybrid jobs included, whose
-//     trained agent travels by content key (GET /work/agents/{key}); the
-//     queue deduplicates by key, leases cells to whichever workers poll,
+//     trained agent travels by content key (GET /work/agents/{key}). The
+//     call keys each cell once, for its store lookup and its wire form,
+//     and encodes each distinct module once, however many cells share it.
+//     The queue deduplicates by key, leases cells to whichever workers poll,
 //     re-issues expired leases, and validates and banks results before any
 //     waiter sees them. A cell that does not wire (no module, or the
 //     deprecated Hybrid factory) fails at its index; nothing runs on the
@@ -47,8 +49,8 @@ type RemoteRunner struct {
 	// Deprecated: Local is ignored. Every cell leases through Queue.
 	Local Pool
 
-	// Deprecated: ShipPrograms is ignored. Workers compile the module of
-	// every cell they lease, exactly as the in-process Pool does.
+	// Deprecated: ShipPrograms is ignored. Workers compile the modules of
+	// the cells they lease, exactly as the in-process Pool does.
 	ShipPrograms bool
 }
 
@@ -60,14 +62,15 @@ func (r *RemoteRunner) Run(ctx context.Context, jobs []*Job, onProgress func(Pro
 	outs := make([]*Outcome, len(jobs))
 	starts := make([]time.Time, len(jobs))
 	report := reporter(len(jobs), onProgress)
+	mods := moduleBytes{}
 	err := r.lease(ctx, len(jobs),
 		func(i int) string {
 			key, _ := jobs[i].Key()
 			return key
 		},
-		func(i int) (*WireJob, error) {
+		func(i int, key string) (*WireJob, error) {
 			starts[i] = time.Now()
-			return jobs[i].Wire()
+			return jobs[i].wire(key, mods)
 		},
 		func(i int, data []byte, hit bool, err error) bool {
 			o := &Outcome{Job: jobs[i], CacheHit: hit, Err: err, Worker: -1}
@@ -107,12 +110,13 @@ func (r *RemoteRunner) Train(ctx context.Context, specs []*TrainSpec) ([]*Traine
 	}
 	outs := make([]*Trained, len(specs))
 	errs := make([]error, len(specs))
+	mods := moduleBytes{}
 	err := r.lease(ctx, len(specs),
 		func(i int) string {
 			key, _ := specs[i].Key() // a spec whose key fails does not wire either
 			return key
 		},
-		func(i int) (*WireJob, error) { return specs[i].Wire() },
+		func(i int, key string) (*WireJob, error) { return specs[i].wire(key, mods) },
 		func(i int, data []byte, hit bool, err error) bool {
 			if err == nil {
 				outs[i], err = restoreTrained(data)
@@ -136,15 +140,16 @@ func (r *RemoteRunner) Train(ctx context.Context, specs []*TrainSpec) ([]*Traine
 // looked up in the store under key(i) first ("" skips the lookup) and a
 // hit goes to finish(i, data, true, nil); only when finish refuses it
 // (the bytes do not decode) is the cell leased afresh. Every other cell
-// is enqueued as wire(i), and the queue's callback calls finish(i, data,
-// false, err) with validated, already banked bytes; a cell that does not
-// wire finishes with the wiring error. finish may run concurrently.
+// is enqueued as wire(i, key(i)), and the queue's callback calls
+// finish(i, data, false, err) with validated, already banked bytes; a cell
+// that does not wire finishes with the wiring error. finish may run
+// concurrently.
 //
 // When ctx is done first, every cell whose callback has not fired is
 // withdrawn: cancel() returning true hands its outcome to us, and it
 // finishes with ctx's error; false means the callback ran (or is running)
 // and fills the outcome itself. lease returns only after every finish has.
-func (r *RemoteRunner) lease(ctx context.Context, n int, key func(int) string, wire func(int) (*WireJob, error), finish func(i int, data []byte, hit bool, err error) bool) error {
+func (r *RemoteRunner) lease(ctx context.Context, n int, key func(int) string, wire func(i int, key string) (*WireJob, error), finish func(i int, data []byte, hit bool, err error) bool) error {
 	if r.Queue == nil {
 		return errors.New("campaign: RemoteRunner has no Queue")
 	}
@@ -157,12 +162,13 @@ func (r *RemoteRunner) lease(ctx context.Context, n int, key func(int) string, w
 		leased  []int
 	)
 	for i := 0; i < n; i++ {
-		if k := key(i); k != "" && r.Store != nil {
+		k := key(i)
+		if k != "" && r.Store != nil {
 			if data, ok := r.Store.Get(k); ok && finish(i, data, true, nil) {
 				continue
 			}
 		}
-		w, err := wire(i)
+		w, err := wire(i, k)
 		if err != nil {
 			finish(i, nil, false, err)
 			continue

@@ -48,7 +48,10 @@ type TrainSpec struct {
 
 // Key returns the cell's content address. Like Job.Key, it is a SHA-256
 // over every input that can influence the trained agent.
-func (ts *TrainSpec) Key() (string, error) {
+func (ts *TrainSpec) Key() (string, error) { return ts.key("") }
+
+// key is Key with the module's hash already in hand ("" = hash it here).
+func (ts *TrainSpec) key(modHash string) (string, error) {
 	if ts.Opts.OS != nil || ts.Opts.Actuator != nil || ts.Opts.Hybrid != nil {
 		return "", fmt.Errorf("campaign: train spec %q: set policies by name, not in Opts", ts.Label)
 	}
@@ -72,7 +75,10 @@ func (ts *TrainSpec) Key() (string, error) {
 	}
 	var sb strings.Builder
 	sb.WriteString("astro-trained-agent-v1\n")
-	sb.WriteString(ModuleHash(ts.Module))
+	if modHash == "" {
+		modHash = ModuleHash(ts.Module)
+	}
+	sb.WriteString(modHash)
 	sb.WriteByte('\n')
 	plat := ts.PlatName
 	if plat == "" {

@@ -24,6 +24,12 @@ const (
 // serialization drift into a loud protocol error instead of a silently
 // wrong cache entry).
 //
+// Every cell carries its module's bytes, but neither side pays for them
+// per cell: RemoteRunner encodes each module once per run, and a Worker
+// decodes, hashes and compiles each distinct module once, through a
+// bounded memo keyed by the bytes' SHA-256. A memo hit still recomputes
+// and checks Key.
+//
 // Two kinds of cell cross the wire. Simulation cells (Kind == KindSim)
 // decode back into a Job via (*WireJob).Job; their policies travel by
 // name, and a trained-agent hybrid travels as its snapshot's content key
@@ -90,7 +96,13 @@ type WireTrain struct {
 // Hybrid factory or an unfingerprintable option set is refused; agent-keyed
 // hybrid jobs wire (the snapshot travels separately, by content key,
 // through GET /work/agents/{key}).
-func (j *Job) Wire() (*WireJob, error) {
+func (j *Job) Wire() (*WireJob, error) { return j.wire("", nil) }
+
+// wire is Wire with the job's key ("" = compute it) and a run's module
+// encodings (nil = encode afresh) already in hand: RemoteRunner.Run keys
+// each cell once for its store lookup and encodes each module once per
+// run, however many cells share it.
+func (j *Job) wire(key string, mods moduleBytes) (*WireJob, error) {
 	if j.Module == nil {
 		return nil, fmt.Errorf("campaign: job %d (%s) has no module", j.Index, j.Label)
 	}
@@ -100,15 +112,17 @@ func (j *Job) Wire() (*WireJob, error) {
 	if j.Opts.OS != nil || j.Opts.Actuator != nil || j.Opts.Hybrid != nil {
 		return nil, fmt.Errorf("campaign: job %d (%s): set policies by name, not in Opts", j.Index, j.Label)
 	}
-	key, cacheable := j.Key()
-	if !cacheable {
-		return nil, fmt.Errorf("campaign: job %d (%s) is uncacheable; not wireable", j.Index, j.Label)
+	if key == "" {
+		var cacheable bool
+		if key, cacheable = j.Key(); !cacheable {
+			return nil, fmt.Errorf("campaign: job %d (%s) is uncacheable; not wireable", j.Index, j.Label)
+		}
 	}
 	return &WireJob{
 		Index:     j.Index,
 		Label:     j.Label,
 		Benchmark: j.Benchmark,
-		Module:    ir.Encode(j.Module),
+		Module:    mods.encode(j.Module),
 		PlatName:  j.PlatName,
 		OS:        j.OS,
 		Actuator:  j.Actuator,
@@ -122,16 +136,37 @@ func (j *Job) Wire() (*WireJob, error) {
 	}, nil
 }
 
+// moduleBytes memoizes ir.Encode per module pointer for one RemoteRunner
+// call, so the cells that share a module share its bytes. It lives only as
+// long as the call: a process-global memo would pin every module a
+// long-running coordinator ever wired. A nil moduleBytes encodes afresh.
+type moduleBytes map[*ir.Module][]byte
+
+func (mb moduleBytes) encode(m *ir.Module) []byte {
+	if b, ok := mb[m]; ok {
+		return b
+	}
+	b := ir.Encode(m)
+	if mb != nil {
+		mb[m] = b
+	}
+	return b
+}
+
 // Job reconstructs the executable job and verifies its identity: the key
 // recomputed from the decoded fields must equal the coordinator's. A
 // mismatch means the two processes disagree about what the job *is* (codec
 // drift, version skew) and executing it would poison the content-addressed
 // store, so it is an error, not a warning.
-func (wj *WireJob) Job() (*Job, error) {
+func (wj *WireJob) Job() (*Job, error) { return wj.job(new(moduleMemo)) }
+
+// job is Job decoding the module through a worker's memo. A memo hit skips
+// the decode and the re-encode for hashing, never the key check.
+func (wj *WireJob) job(mods *moduleMemo) (*Job, error) {
 	if wj.Kind != KindSim {
 		return nil, fmt.Errorf("campaign: wire cell %q has kind %q, not a simulation job", wj.Label, wj.Kind)
 	}
-	mod, err := ir.Decode(wj.Module)
+	mod, hash, err := mods.decode(wj.Module)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: wire job %q: module: %w", wj.Label, err)
 	}
@@ -148,6 +183,7 @@ func (wj *WireJob) Job() (*Job, error) {
 		Args:      wj.Args,
 		AgentKey:  wj.AgentKey,
 		Opts:      wj.Opts,
+		modHash:   hash,
 	}
 	key, ok := j.Key()
 	if !ok {
@@ -163,18 +199,24 @@ func (wj *WireJob) Job() (*Job, error) {
 // spec's trained-agent cache key, so a training lease finished anywhere in
 // the fleet lands in the store under exactly the address TrainCell — on
 // any machine — consults.
-func (ts *TrainSpec) Wire() (*WireJob, error) {
+func (ts *TrainSpec) Wire() (*WireJob, error) { return ts.wire("", nil) }
+
+// wire is Wire with the spec's key ("" = compute it) and a run's module
+// encodings (nil = encode afresh) already in hand, like (*Job).wire.
+func (ts *TrainSpec) wire(key string, mods moduleBytes) (*WireJob, error) {
 	if ts.Module == nil {
 		return nil, fmt.Errorf("campaign: train spec %q has no module", ts.Label)
 	}
-	key, err := ts.Key() // also rejects policy interfaces left in Opts
-	if err != nil {
-		return nil, err
+	if key == "" {
+		var err error
+		if key, err = ts.Key(); err != nil { // also rejects policy interfaces left in Opts
+			return nil, err
+		}
 	}
 	return &WireJob{
 		Kind:     KindTrain,
 		Label:    ts.Label,
-		Module:   ir.Encode(ts.Module),
+		Module:   mods.encode(ts.Module),
 		PlatName: ts.PlatName,
 		OS:       ts.OS,
 		Seed:     ts.Seed,
@@ -196,11 +238,15 @@ func (ts *TrainSpec) Wire() (*WireJob, error) {
 // simulation cells: the recomputed trained-agent cache key must match, or
 // the worker would train the wrong recipe and store it under the
 // coordinator's address.
-func (wj *WireJob) TrainSpec() (*TrainSpec, error) {
+func (wj *WireJob) TrainSpec() (*TrainSpec, error) { return wj.trainSpec(new(moduleMemo)) }
+
+// trainSpec is TrainSpec decoding the module through a worker's memo, like
+// (*WireJob).job.
+func (wj *WireJob) trainSpec(mods *moduleMemo) (*TrainSpec, error) {
 	if wj.Kind != KindTrain || wj.Train == nil {
 		return nil, fmt.Errorf("campaign: wire cell %q has kind %q, not a training cell", wj.Label, wj.Kind)
 	}
-	mod, err := ir.Decode(wj.Module)
+	mod, hash, err := mods.decode(wj.Module)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: wire train cell %q: module: %w", wj.Label, err)
 	}
@@ -218,7 +264,7 @@ func (wj *WireJob) TrainSpec() (*TrainSpec, error) {
 		Args:     wj.Args,
 		Opts:     wj.Opts,
 	}
-	key, err := ts.Key()
+	key, err := ts.key(hash)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: wire train cell %q: %w", wj.Label, err)
 	}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"astro/internal/ir"
 	"astro/internal/sim"
 	"astro/internal/telemetry"
 )
@@ -51,6 +53,8 @@ import (
 // The coordinator's store is the fleet's only shared store: the worker
 // keeps no result cache of its own, and reads trained-agent snapshots
 // through to the coordinator (GET /agents/{key}) behind an in-memory memo.
+// Beside it, a bounded memo of decoded modules (moduleMemo) gives every
+// cell of one module one decode and one compile.
 // Results are validated end-to-end: the worker refuses cells whose
 // recomputed key mismatches the coordinator's (codec drift), and the
 // coordinator refuses results that do not decode (malformed submission) —
@@ -75,6 +79,7 @@ type Worker struct {
 
 	agentsOnce sync.Once
 	agents     ResultStore
+	modules    moduleMemo // decoded modules by content; see moduleMemo
 
 	leaseErrs atomic.Uint64 // cumulative failed lease attempts (also self-reported to the coordinator)
 	draining  atomic.Bool   // Drain was called: finish the current batch, then Run returns
@@ -177,6 +182,61 @@ func (w *Worker) agentStore() ResultStore {
 		w.agents = &agentFetcher{w: w, memo: NewMemStore()}
 	})
 	return w.agents
+}
+
+// moduleMemoCap bounds a worker's module memo: the same cap as sim's
+// compiled-program cache, which the memo's pointers key into.
+const moduleMemoCap = 64
+
+// moduleMemo maps the SHA-256 of a module's wire bytes to the decoded
+// module and its ModuleHash, bounded FIFO. Every cell of one module then
+// carries the same *ir.Module, so the worker decodes, hashes and compiles
+// the module once (sim.CompiledProgram keys its cache by pointer) instead
+// of once per cell. The zero value is ready to use.
+type moduleMemo struct {
+	mu    sync.Mutex
+	m     map[[sha256.Size]byte]memoModule
+	order [][sha256.Size]byte
+}
+
+type memoModule struct {
+	mod  *ir.Module
+	hash string
+}
+
+// decode returns the module the bytes encode and, from the memo, its
+// ModuleHash. The hash is computed from the decoded module when an entry
+// is filled — not taken from the bytes — so the caller's key check still
+// covers the decode.
+func (mm *moduleMemo) decode(data []byte) (*ir.Module, string, error) {
+	sum := sha256.Sum256(data)
+	mm.mu.Lock()
+	e, ok := mm.m[sum]
+	mm.mu.Unlock()
+	if ok {
+		return e.mod, e.hash, nil
+	}
+	mod, err := ir.Decode(data)
+	if err != nil {
+		return nil, "", err
+	}
+	e = memoModule{mod: mod, hash: ModuleHash(mod)}
+
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if cached, ok := mm.m[sum]; ok {
+		return cached.mod, cached.hash, nil // raced with another executor; keep one pointer
+	}
+	if mm.m == nil {
+		mm.m = make(map[[sha256.Size]byte]memoModule, moduleMemoCap)
+	}
+	if len(mm.order) >= moduleMemoCap {
+		delete(mm.m, mm.order[0])
+		mm.order = mm.order[1:]
+	}
+	mm.m[sum] = e
+	mm.order = append(mm.order, sum)
+	return e.mod, e.hash, nil
 }
 
 // agentFetchTimeout bounds one snapshot fetch: the fetch sits on the
@@ -601,7 +661,7 @@ func (w *Worker) execute(ctx context.Context, cell *WireJob, received time.Time,
 // Agent-keyed hybrid cells resolve their snapshot through the worker's
 // agent tier — memo first, coordinator on miss.
 func (w *Worker) executeSim(cell *WireJob) ([]byte, error) {
-	j, err := cell.Job()
+	j, err := cell.job(&w.modules)
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +681,7 @@ func (w *Worker) executeSim(cell *WireJob) ([]byte, error) {
 // so the /result submission is its only publication and the queue, which
 // validates it, is the only place it is banked.
 func (w *Worker) executeTrain(cell *WireJob) (data []byte, hit bool, err error) {
-	ts, err := cell.TrainSpec()
+	ts, err := cell.trainSpec(&w.modules)
 	if err != nil {
 		return nil, false, err
 	}

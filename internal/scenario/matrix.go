@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math/rand"
 
 	"astro/internal/campaign"
 	"astro/internal/hw"
@@ -81,8 +82,9 @@ func (m *Matrix) Materialize() (programs []string, platforms []string, err error
 		return nil, nil, fmt.Errorf("scenario: matrix needs at least one program (programs or program_count)")
 	}
 	seen := map[string]bool{}
+	rng := rand.New(rand.NewSource(0)) // generate reseeds it per program
 	for _, pp := range pps {
-		spec, err := Generate(pp)
+		spec, err := generate(pp, rng)
 		if err != nil {
 			return nil, nil, err
 		}

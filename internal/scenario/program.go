@@ -135,11 +135,20 @@ func (pp ProgramParams) Name() string {
 // workloads spec (suite "scenario"). Same params in, byte-identical source
 // out.
 func Generate(pp ProgramParams) (workloads.Spec, error) {
+	return generate(pp, rand.New(rand.NewSource(0)))
+}
+
+// generate is Generate drawing from rng, which it reseeds with the
+// program's seed. Reseeding yields the same stream as a fresh source, so a
+// caller synthesizing many programs reuses one source (a math/rand source
+// is a ~4.9 KB allocation).
+func generate(pp ProgramParams, rng *rand.Rand) (workloads.Spec, error) {
 	if err := pp.Validate(); err != nil {
 		return workloads.Spec{}, err
 	}
 	c := pp.Canon()
-	g := &progGen{p: c, rng: rand.New(rand.NewSource(c.Seed))}
+	rng.Seed(c.Seed)
+	g := &progGen{p: c, rng: rng}
 	src := g.source()
 	return workloads.Spec{
 		Name:         c.Name(),

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -44,6 +45,27 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if c.Source == a.Source {
 		t.Error("different seeds produced identical source")
+	}
+}
+
+// TestGenerateReusedSource pins what Materialize relies on: one source
+// reseeded per program (generate) yields the same source as a fresh one
+// per program (Generate), whatever the previous program drew.
+func TestGenerateReusedSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(0))
+	m := Matrix{ProgramCount: 12, ProgramSeed: 5}
+	for _, pp := range m.programParams() {
+		want, err := Generate(pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := generate(pp, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: a reseeded source generated a different program", pp.Name())
+		}
 	}
 }
 

@@ -9,12 +9,16 @@ package sim
 // Regenerate the committed BENCH_*.json baseline (and gate the pinned
 // Minstr/s throughput metrics against the prior one) with:
 //
-//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine|BenchmarkHierarchyAccess|BenchmarkEncodeResult|BenchmarkDecodeResult' -benchmem -benchtime 0.5s -count 3 ./internal/sim/ ./internal/cache/
-//	 go test -run '^$' -bench 'BenchmarkObserve' -benchmem -benchtime 0.5s -count 3 ./internal/rl/) \
-//	  | go run ./cmd/astro-bench -o BENCH_19.json -prev BENCH_18.json -max-regress 15
+//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine|BenchmarkHierarchyAccess|BenchmarkEncodeResult|BenchmarkDecodeResult|BenchmarkCompileModule' -benchmem -benchtime 0.3s -count 3 ./internal/sim/ ./internal/cache/
+//	 go test -run '^$' -bench 'BenchmarkObserve' -benchmem -benchtime 0.3s -count 3 ./internal/rl/
+//	 go test -run '^$' -bench 'BenchmarkWireJobDecode' -benchmem -benchtime 0.3s -count 3 ./internal/campaign/
+//	 go test -run '^$' -bench '^BenchmarkCompile(Grid)?$' -benchmem -benchtime 0.3s -count 3 . ./internal/scenario/) \
+//	  | go run ./cmd/astro-bench -o BENCH_21.json -prev BENCH_20.json -max-regress 15
 //
-// The result codec's rungs (BenchmarkEncodeResult, BenchmarkDecodeResult,
-// in codec_test.go) are recorded but not gated.
+// Only the Minstr/s metrics gate. The result codec's rungs
+// (BenchmarkEncodeResult, BenchmarkDecodeResult, in codec_test.go),
+// BenchmarkCompileModule, the front end's and the worker decode's rungs
+// are recorded but not gated.
 
 import (
 	"fmt"
@@ -229,6 +233,25 @@ func BenchmarkNewMachine(b *testing.B) {
 		if _, err := New(mod, plat, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCompileModule measures the fast path's lowering of one registry
+// workload (freqmine) — what a cell pays when its module misses the
+// compiled-program cache. It is recorded in the BENCH trajectory, not
+// gated.
+func BenchmarkCompileModule(b *testing.B) {
+	spec, ok := workloads.ByName("freqmine")
+	if !ok {
+		b.Fatal("workload freqmine not registered")
+	}
+	mod, err := spec.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		CompileModule(mod)
 	}
 }
 

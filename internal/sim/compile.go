@@ -536,9 +536,11 @@ var progCache struct {
 }
 
 // CompiledProgram returns the cached lowering of mod, compiling on miss.
-// The cache is keyed by module pointer, so callers that decode a fresh
-// module per job (workers) never hit it and compile each cell they run;
-// that compile is well under 1% of a cell's wall time (EXPERIMENTS.md).
+// The cache is keyed by module pointer: the in-process pool shares one
+// module per benchmark across its cells, and a worker decodes each module
+// it leases once (campaign's module memo, keyed by the module's bytes), so
+// both compile a module once and reuse it, per-core cost variants
+// included, for every later cell of that module.
 func CompiledProgram(mod *ir.Module) *Program {
 	progCache.mu.Lock()
 	if p, ok := progCache.m[mod]; ok {
