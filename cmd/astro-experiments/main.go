@@ -54,7 +54,7 @@ func main() {
 	jobs := flag.Int("j", runtime.NumCPU(), "campaign pool workers for simulation sweeps")
 	cacheDir := flag.String("cache", "", "on-disk result cache directory (default: in-memory only)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "cap the on-disk result store; LRU-evicts unpinned entries past the cap (0 = unbounded; requires -cache)")
-	hotCacheBytes := flag.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap)")
+	hotCacheBytes := flag.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap; 0 without -store-max-bytes = unbounded)")
 	remoteAddr := flag.String("remote", "", "listen address: become the coordinator of an `astro worker` fleet and lease every cell (simulations and training) to it")
 	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "with -remote: how long a worker holds a cell between renewals")
 	token := flag.String("token", "", "with -remote: bearer token required on the /work endpoints (empty = open)")

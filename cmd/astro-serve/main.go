@@ -51,7 +51,7 @@ func main() {
 	cacheDir := flag.String("cache", "", "on-disk result cache directory (default: in-memory only)")
 	shards := flag.Int("shards", 0, "shard the result store by key prefix for concurrent writers (0 = the existing store's count, or 1 for a new directory)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "cap the on-disk result store; LRU-evicts unpinned entries past the cap (0 = unbounded; requires -cache)")
-	hotCacheBytes := flag.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap)")
+	hotCacheBytes := flag.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap; 0 without -store-max-bytes = unbounded)")
 	remote := flag.Bool("remote", false, "execute campaigns on pull-based workers (`astro worker`) instead of in-process")
 	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "how long a worker holds a cell before it re-leases")
 	token := flag.String("token", "", "bearer token required on all /work endpoints (empty = open, trusted-network)")

@@ -15,11 +15,12 @@ import (
 //     trained-agent snapshot on enqueue and unpins when the cell
 //     finishes or is cancelled, so a snapshot referenced by a live
 //     campaign survives any eviction pressure.
-//   - hotCache: a byte-bounded LRU in front of the disk tier, replacing
-//     the old unbounded in-memory map whenever a cap is configured.
-//     Purely a cache: every entry also lives on disk (or did, before
-//     disk eviction), so dropping one costs a re-read or a recompute,
-//     never correctness.
+//   - hotCache: the store's one memory tier, an LRU in front of the disk
+//     tier, byte-bounded when a cap is configured and unbounded at a zero
+//     cap. A capped cache is purely a cache: every entry also lives on
+//     disk (or did, before disk eviction), so dropping one costs a
+//     re-read or a recompute, never correctness. Only an uncapped cache
+//     may front a memory-only store, where it is the authoritative copy.
 //   - StoreConfig/Occupancy: the knobs and the live accounting that
 //     /metrics, /readyz and the soak test read.
 //
@@ -39,14 +40,12 @@ type StoreConfig struct {
 
 	// HotBytes caps the in-memory hot cache fronting the disk tier.
 	// 0 with MaxBytes set defaults to MaxBytes (memory never holds more
-	// than the disk tier may); 0 with MaxBytes unset keeps the legacy
-	// unbounded memory tier.
+	// than the disk tier may); 0 with MaxBytes unset leaves the hot cache
+	// unbounded.
 	HotBytes int64
 }
 
-func (c StoreConfig) bounded() bool { return c.MaxBytes > 0 || c.HotBytes > 0 }
-
-// effHotBytes is the hot-cache cap the config resolves to.
+// effHotBytes is the hot-cache cap the config resolves to; 0 = unbounded.
 func (c StoreConfig) effHotBytes() int64 {
 	if c.HotBytes > 0 {
 		return c.HotBytes
@@ -155,13 +154,13 @@ func (l *PinLedger) PinnedKeys() []string {
 	return out
 }
 
-// hotCache is the byte-bounded LRU memory tier. It is shared by every
-// shard of a sharded store (the cache fronts the store, not a shard), so
-// it has its own lock; it never calls back into any store, which keeps
-// the lock ordering store.mu → hot.mu acyclic.
+// hotCache is the LRU memory tier, byte-bounded unless max is 0. It is
+// shared by every shard of a sharded store (the cache fronts the store,
+// not a shard), so it has its own lock; it never calls back into any
+// store, which keeps the lock ordering store.mu → hot.mu acyclic.
 type hotCache struct {
 	mu    sync.Mutex
-	max   int64
+	max   int64 // 0 = unbounded: admit everything, evict nothing
 	bytes int64
 	lru   *list.List // front = most recently used; values are *hotEnt
 	ent   map[string]*list.Element
@@ -195,11 +194,11 @@ func (h *hotCache) get(key string) ([]byte, bool) {
 }
 
 // put inserts (or refreshes) an entry and evicts from the cold end until
-// the cache fits. An entry larger than the whole cache is not admitted —
-// caching it would evict everything for a single key.
+// the cache fits. In a capped cache an entry larger than the whole cache
+// is not admitted — caching it would evict everything for a single key.
 func (h *hotCache) put(key string, data []byte) {
 	size := int64(len(data))
-	if size > h.max {
+	if h.max > 0 && size > h.max {
 		return
 	}
 	h.mu.Lock()
@@ -212,7 +211,7 @@ func (h *hotCache) put(key string, data []byte) {
 		h.bytes += size
 	}
 	evicted := 0
-	for h.bytes > h.max {
+	for h.max > 0 && h.bytes > h.max {
 		back := h.lru.Back()
 		if back == nil {
 			break
@@ -241,6 +240,17 @@ func (h *hotCache) drop(key string) {
 		gHotBytes.Set(float64(h.bytes))
 	}
 	h.mu.Unlock()
+}
+
+// keys returns the resident keys, unordered.
+func (h *hotCache) keys() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	keys := make([]string, 0, len(h.ent))
+	for k := range h.ent {
+		keys = append(keys, k)
+	}
+	return keys
 }
 
 // size returns the resident byte count.

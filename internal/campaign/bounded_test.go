@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -236,6 +237,68 @@ func TestBoundedStoreReopenHonorsLoweredCap(t *testing.T) {
 	}
 	if bytesOnDisk, _ := diskBytesOf(t, dir); bytesOnDisk != occ.DiskBytes {
 		t.Fatalf("accounting %d != %d bytes actually on disk", occ.DiskBytes, bytesOnDisk)
+	}
+}
+
+// TestBoundedStoreGetEvictionRace races Gets against Puts that force
+// evictions on one capped shard. A Get reads its value file without the
+// shard lock, so an eviction may unlink the key in between: the Get must
+// then neither track the key as on disk nor cache it, or the next Put of
+// it takes the "already durable" no-op and writes nothing.
+func TestBoundedStoreGetEvictionRace(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewShardedStoreWith(dir, 1, StoreConfig{MaxBytes: 2000, HotBytes: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const universe, rounds, ops = 24, 20, 40
+	sh := s.shards[0]
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(rng *rand.Rand, put bool) {
+				defer wg.Done()
+				for op := 0; op < ops; op++ {
+					i := rng.Intn(universe)
+					if put {
+						if err := s.Put(testKey(i), valFor(i, 200)); err != nil {
+							t.Error(err)
+						}
+					} else if got, ok := s.Get(testKey(i)); ok && !bytes.Equal(got, valFor(i, 200)) {
+						t.Errorf("Get(%d) returned wrong bytes", i)
+					}
+				}
+			}(rand.New(rand.NewSource(int64(round*4+g))), g%2 == 0)
+		}
+		wg.Wait()
+		sh.mu.RLock()
+		for k := range sh.disk {
+			if _, err := os.Stat(valuePath(s, k)); err != nil {
+				t.Fatalf("round %d: key %s tracked as on disk without a file: %v", round, k[:8], err)
+			}
+		}
+		for _, k := range s.hot.keys() {
+			if _, ok := sh.disk[k]; !ok {
+				t.Fatalf("round %d: evicted key %s still in the hot cache", round, k[:8])
+			}
+		}
+		sh.mu.RUnlock()
+		occ := s.Occupancy()
+		if bytesOnDisk, keysOnDisk := diskBytesOf(t, dir); occ.DiskBytes != bytesOnDisk || occ.DiskKeys != keysOnDisk {
+			t.Fatalf("round %d: store says %d bytes/%d keys, disk holds %d/%d", round, occ.DiskBytes, occ.DiskKeys, bytesOnDisk, keysOnDisk)
+		}
+	}
+	if s.Occupancy().Evictions == 0 {
+		t.Fatal("no evictions: the race is not exercised")
+	}
+	for i := 0; i < universe; i++ {
+		if err := s.Put(testKey(i), valFor(i, 200)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(valuePath(s, testKey(i))); err != nil {
+			t.Fatalf("Put(%d) returned nil but left no value file: %v", i, err)
+		}
 	}
 }
 

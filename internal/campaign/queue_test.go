@@ -168,6 +168,41 @@ func TestTrainResultValidatedAsSnapshot(t *testing.T) {
 	}
 }
 
+// outOfRangeSnapshots are training results whose sizes made the agent
+// constructors panic (or, for the tabular one, fail fatally in the
+// runtime) inside validateWireResult before rl.Snapshot.Restore checked
+// shapes. They also seed testdata/fuzz/FuzzDecodeSnapshot.
+var outOfRangeSnapshots = map[string]string{
+	"negative-configs": `{"agent":{"kind":"dqn","n_configs":-1,"eps":0,"dqn_config":{}},"visits":null,"stats":null}`,
+	"negative-hidden":  `{"agent":{"kind":"dqn","n_configs":2,"eps":0,"dqn_config":{"Hidden":-5}},"visits":null,"stats":null}`,
+	"huge-tabular":     `{"agent":{"kind":"tabular","n_configs":3037000500,"eps":0},"visits":null,"stats":null}`,
+}
+
+// TestOutOfRangeSnapshotRejected: validateWireResult refuses each
+// out-of-range snapshot, and a queue handed one as a training cell's
+// result rejects it and keeps serving — it runs with the queue lock held,
+// so a panic there would wedge every later Lease.
+func TestOutOfRangeSnapshotRejected(t *testing.T) {
+	for name, data := range outOfRangeSnapshots {
+		t.Run(name, func(t *testing.T) {
+			if err := validateWireResult(KindTrain, []byte(data)); err == nil {
+				t.Fatal("out-of-range snapshot accepted")
+			}
+			q := NewWorkQueue(time.Minute)
+			fakeClock(q)
+			w := wireTrainCell(t, 33)
+			q.Enqueue(w, func([]byte, error) {})
+			q.Lease("w1", 1)
+			if st := q.Complete("w1", w.Key, []byte(data), ""); st != CompleteRejected {
+				t.Fatalf("out-of-range snapshot: %v (want rejected)", st)
+			}
+			if cells := q.Lease("w2", 1); len(cells) != 1 || cells[0].Key != w.Key {
+				t.Fatal("rejected train cell not re-queued")
+			}
+		})
+	}
+}
+
 // TestNonCanonicalResultRejected pins invariant 5 at the queue: a
 // submission that decodes but is not byte-for-byte canonical — the
 // canonical result wrapped in whitespace, or carrying an unknown field —

@@ -14,34 +14,32 @@ import (
 	"astro/internal/telemetry"
 )
 
-// shard is one partition of a ShardedStore: a memory tier and, when the
-// store has a directory, a disk tier laid out as <key[:2]>/<key>.json
-// under shard-XX/. The value files are the only record of what the disk
-// tier holds; the two-character fan-out keeps directories small for
+// shard is one partition of a ShardedStore: when the store has a
+// directory, a disk tier laid out as <key[:2]>/<key>.json under
+// shard-XX/, fronted by the store's shared hot cache (the one memory
+// tier). The value files are the only record of what the disk tier
+// holds; the two-character fan-out keeps directories small for
 // hundred-thousand-job campaigns.
 //
 // In a bounded store the disk tier holds at most maxBytes of value bytes,
 // evicting least-recently-used unpinned entries (the whole file — an
-// entry is always either fully present or absent), and the memory tier
-// is the store's shared byte-bounded hot cache instead of an unbounded
-// map. Eviction is safe by construction: a content-addressed entry can
-// only be absent (forcing a recomputation that produces the identical
-// bytes) or byte-for-byte correct, never stale or torn (DESIGN.md
-// invariant 11). Pinned keys — see PinLedger — are skipped by eviction,
-// which is how trained-agent snapshots referenced by live campaigns
-// survive any pressure.
+// entry is always either fully present or absent). Eviction is safe by
+// construction: a content-addressed entry can only be absent (forcing a
+// recomputation that produces the identical bytes) or byte-for-byte
+// correct, never stale or torn (DESIGN.md invariant 11). Pinned keys —
+// see PinLedger — are skipped by eviction, which is how trained-agent
+// snapshots referenced by live campaigns survive any pressure.
 type shard struct {
 	s     *ShardedStore    // owner: shared hot cache, pin ledger, occupancy totals
 	dir   string           // "" = memory-only
 	gauge *telemetry.Gauge // disk-tier keys tracked in this shard; nil when memory-only
 
-	mu  sync.RWMutex
-	mem map[string][]byte // unbounded memory tier (nil when s.hot is set)
+	mu sync.RWMutex
 
 	// Disk-tier accounting (dir != ""). disk maps every key known to be
-	// on disk to its LRU element; for unbounded stores it fills lazily
-	// (Put, Get disk hits, Stat probes), for bounded ones it is seeded
-	// by a full scan at open so the cap holds across restarts.
+	// on disk to its LRU element; for an uncapped shard it fills lazily
+	// (Put, Get disk hits, Stat probes), for a capped one it is seeded by
+	// a full scan at open so the cap holds across restarts.
 	maxBytes  int64
 	diskBytes int64
 	disk      map[string]*list.Element
@@ -58,14 +56,11 @@ type diskEnt struct {
 	size int64
 }
 
-// openShard builds shard i. A bounded shard scans its files (the cap must
-// hold over what a previous process wrote); an unbounded one does no
+// openShard builds shard i. A capped shard scans its files (the cap must
+// hold over what a previous process wrote); an uncapped one does no
 // per-key work and discovers earlier entries as Get and Put reach them.
 func (s *ShardedStore) openShard(i int, maxBytes int64) (*shard, error) {
 	sh := &shard{s: s}
-	if s.hot == nil {
-		sh.mem = map[string][]byte{}
-	}
 	if s.dir == "" {
 		return sh, nil
 	}
@@ -78,7 +73,7 @@ func (s *ShardedStore) openShard(i int, maxBytes int64) (*shard, error) {
 	sh.disk = map[string]*list.Element{}
 	sh.lru = list.New()
 	sh.writing = map[string]bool{}
-	if s.hot != nil {
+	if maxBytes > 0 {
 		return sh, sh.loadDiskTier()
 	}
 	return sh, nil
@@ -103,7 +98,7 @@ func diskKey(key string) bool {
 	return true
 }
 
-// loadDiskTier seeds a bounded shard's disk-tier accounting from the
+// loadDiskTier seeds a capped shard's disk-tier accounting from the
 // files already present, ordered oldest-modified first so the LRU starts
 // with a sensible cold end, and evicts down to the cap if the directory
 // arrives over it (a cap lowered between runs). Like Keys, the scan
@@ -182,40 +177,34 @@ func walkShard(dir string, pruneTmpAge time.Duration, fn func(key string, f os.D
 	return nil
 }
 
-// get reads the memory tier, then the disk tier.
+// get reads the hot cache, then the disk tier.
 func (sh *shard) get(key string) ([]byte, bool) {
-	var data []byte
-	var ok bool
-	if sh.s.hot != nil {
-		data, ok = sh.s.hot.get(key)
-	}
-	sh.mu.Lock()
-	if sh.mem != nil {
-		data, ok = sh.mem[key]
-	}
-	if ok {
+	if data, ok := sh.s.hot.get(key); ok {
+		sh.mu.Lock()
 		sh.hits++
 		sh.touchLocked(key)
 		sh.mu.Unlock()
 		return data, true
 	}
-	sh.mu.Unlock()
 	if sh.dir != "" && diskKey(key) {
 		if data, err := os.ReadFile(sh.path(key)); err == nil {
-			if sh.s.hot != nil {
+			sh.mu.Lock()
+			sh.hits++
+			// The file was read without the lock. A capped shard tracks
+			// every file from its open-time scan on, so an untracked key
+			// there is one an eviction unlinked since the read: serve the
+			// bytes, but neither track nor cache the key, or the next Put
+			// would take it for durable and write nothing. An uncapped
+			// shard never evicts, and starts tracking a prior process's
+			// entry here.
+			_, tracked := sh.disk[key]
+			keep := tracked || sh.maxBytes == 0
+			if keep {
+				sh.trackLocked(key, int64(len(data)))
 				sh.s.hot.put(key, data)
 			}
-			sh.mu.Lock()
-			if sh.mem != nil {
-				sh.mem[key] = data
-			}
-			sh.hits++
-			// An unbounded store discovering a prior process's entry
-			// starts tracking it here.
-			_, tracked := sh.disk[key]
-			sh.trackLocked(key, int64(len(data)))
 			sh.mu.Unlock()
-			if !tracked {
+			if keep && !tracked {
 				sh.publish()
 			}
 			return data, true
@@ -227,16 +216,11 @@ func (sh *shard) get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// put stores data in the memory tier and, for a disk-backed shard,
-// writes it once (see ShardedStore.Put).
+// put stores data in the hot cache and, for a disk-backed shard, writes
+// it once (see ShardedStore.Put).
 func (sh *shard) put(key string, data []byte) error {
-	if sh.s.hot != nil {
-		sh.s.hot.put(key, data)
-	}
+	sh.s.hot.put(key, data)
 	sh.mu.Lock()
-	if sh.mem != nil {
-		sh.mem[key] = data
-	}
 	sh.puts++
 	if sh.dir == "" || !diskKey(key) {
 		sh.mu.Unlock()
@@ -254,7 +238,7 @@ func (sh *shard) put(key string, data []byte) error {
 		// The value alone exceeds this tier's cap: banking it would
 		// evict every peer in the shard and the value would still have
 		// to go — a whole shard of cache destroyed for nothing. Refuse
-		// it up front (it stays in the memory tier for this process and
+		// it up front (it stays in the hot cache for this process and
 		// recomputes like any evicted key); a *pinned* oversized value
 		// is banked regardless, holding the store over cap exactly as a
 		// pinned eviction survivor would (Occupancy/readyz report it).

@@ -172,19 +172,82 @@ func TestShardedStoreConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestShardedStoreMemoryOnly pins the Keys rule: Keys lists the durable
+// record. A memory-only store's record is its hot cache, so it lists a
+// key that cannot name a file; a disk store serves such a key from its
+// hot cache for the life of the process but lists only value files.
 func TestShardedStoreMemoryOnly(t *testing.T) {
-	s, err := NewShardedStore("", 4)
+	for _, tc := range []struct {
+		name string
+		dir  string
+		keys []string
+	}{
+		{"memory-only", "", []string{testKey(1), "not-a-hex-key"}}, // sorted
+		{"disk", t.TempDir(), []string{testKey(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewShardedStore(tc.dir, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []string{testKey(1), "not-a-hex-key"} {
+				if err := s.Put(k, []byte("v:"+k)); err != nil {
+					t.Fatal(err)
+				}
+				if data, ok := s.Get(k); !ok || string(data) != "v:"+k {
+					t.Fatalf("round trip of %q failed", k)
+				}
+			}
+			if keys := s.Keys(); s.Len() != len(tc.keys) || strings.Join(keys, ",") != strings.Join(tc.keys, ",") {
+				t.Fatalf("Len/Keys = %d/%q, want %q", s.Len(), keys, tc.keys)
+			}
+		})
+	}
+}
+
+// TestStoreHotOnlyCap: a hot-cache cap without a disk cap bounds memory
+// and nothing else. The store opens without scanning its directory (no
+// disk key is tracked until Get or Put reaches it), keeps the hot cache
+// under its cap across Puts and Gets, and Keys still lists every file.
+// An unbounded store reports its hot bytes too.
+func TestStoreHotOnlyCap(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewShardedStore(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(testKey(1), []byte("v")); err != nil {
+	for i := 0; i < 10; i++ {
+		if err := s.Put(testKey(i), valFor(i, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if occ := s.Occupancy(); occ.HotBytes != 1000 || occ.HotCapBytes != 0 {
+		t.Fatalf("unbounded store: hot %d bytes, cap %d; want 1000, 0", occ.HotBytes, occ.HotCapBytes)
+	}
+
+	const hot = 250
+	s2, err := NewShardedStoreWith(dir, 0, StoreConfig{HotBytes: hot})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if data, ok := s.Get(testKey(1)); !ok || string(data) != "v" {
-		t.Fatal("memory-only sharded store round trip failed")
+	if occ := s2.Occupancy(); occ.DiskKeys != 0 || occ.HotCapBytes != hot || occ.CapBytes != 0 {
+		t.Fatalf("hot-only open: %+v, want no disk keys tracked, hot cap %d, no disk cap", occ, hot)
 	}
-	if s.Len() != 1 || len(s.Keys()) != 1 {
-		t.Fatalf("Len/Keys = %d/%d", s.Len(), len(s.Keys()))
+	for i := 0; i < 20; i++ {
+		if i >= 10 {
+			if err := s2.Put(testKey(i), valFor(i, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, ok := s2.Get(testKey(i)); !ok || !bytes.Equal(got, valFor(i, 100)) {
+			t.Fatalf("key %d unreadable (ok=%v)", i, ok)
+		}
+		if occ := s2.Occupancy(); occ.HotBytes > hot {
+			t.Fatalf("after key %d: hot cache holds %d bytes over its %d cap", i, occ.HotBytes, hot)
+		}
+	}
+	if keys, files := s2.Keys(), filesOf(t, dir); len(keys) != 20 || len(files) != 20 {
+		t.Fatalf("Keys lists %d keys over %d files, want 20", len(keys), len(files))
 	}
 }
 

@@ -46,15 +46,16 @@ import (
 // entries but no INDEX.json is refused — a cache written before the single
 // layout, or a mistyped -cache — instead of being opened as an empty store.
 //
-// Opened with NewShardedStoreWith and a StoreConfig, the store is
-// bounded: the MaxBytes cap splits evenly across shards (uniform keys keep
-// the split fair), each shard evicts LRU-unpinned entries independently
-// under its own lock, and one shared hot cache plus one shared pin ledger
-// front the whole store — see bounded.go.
+// One hot cache (the memory tier) and one pin ledger are shared by every
+// shard — see bounded.go. Opened with NewShardedStoreWith and a
+// StoreConfig, the store is bounded: the MaxBytes cap splits evenly
+// across shards (uniform keys keep the split fair), each shard evicts
+// LRU-unpinned entries independently under its own lock, and the hot
+// cache holds at most HotBytes.
 type ShardedStore struct {
 	dir    string
 	mask   uint8
-	hot    *hotCache  // bounded memory tier shared by all shards; nil when unbounded
+	hot    *hotCache  // the memory tier, shared by all shards; unbounded at a zero cap
 	pins   *PinLedger // shared by all shards: a pin protects a key wherever it lands
 	shards []*shard
 
@@ -104,23 +105,20 @@ func OpenStore(dir string) (*ShardedStore, error) {
 // NewShardedStoreWith is NewShardedStore with byte caps (see StoreConfig):
 // the disk cap splits evenly across shards, the hot cache and the pin
 // ledger are shared by all of them. Caps require a disk tier: a
-// memory-only store's map is authoritative storage, and evicting from it
-// would lose results rather than spill them.
+// memory-only store's hot cache is authoritative storage, and evicting
+// from it would lose results rather than spill them.
 func NewShardedStoreWith(dir string, shards int, cfg StoreConfig) (*ShardedStore, error) {
 	if cfg.MaxBytes < 0 || cfg.HotBytes < 0 {
 		return nil, fmt.Errorf("campaign: store caps must not be negative (max %d, hot %d bytes)", cfg.MaxBytes, cfg.HotBytes)
 	}
-	if dir == "" && cfg.bounded() {
+	if dir == "" && cfg.effHotBytes() > 0 {
 		return nil, fmt.Errorf("campaign: store caps need a disk tier (-cache); a memory-only store cannot evict without losing results")
 	}
 	n, err := openLayout(dir, shards)
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedStore{dir: dir, mask: uint8(n - 1), pins: NewPinLedger(), shards: make([]*shard, n)}
-	if cfg.bounded() {
-		s.hot = newHotCache(cfg.effHotBytes())
-	}
+	s := &ShardedStore{dir: dir, mask: uint8(n - 1), hot: newHotCache(cfg.effHotBytes()), pins: NewPinLedger(), shards: make([]*shard, n)}
 	shardCap := cfg.MaxBytes / int64(n)
 	if cfg.MaxBytes > 0 && shardCap == 0 {
 		shardCap = 1 // a cap below one byte per shard still bounds, never unbounds
@@ -266,41 +264,35 @@ func (s *ShardedStore) Occupancy() Occupancy {
 		}
 		sh.mu.RUnlock()
 	}
-	if s.hot != nil {
-		occ.HotBytes = s.hot.size()
-		occ.HotCapBytes = s.hot.max
-	}
+	occ.HotBytes = s.hot.size()
+	occ.HotCapBytes = s.hot.max
 	return occ
 }
 
 // Len returns len(Keys()).
 func (s *ShardedStore) Len() int { return len(s.Keys()) }
 
-// Keys returns, sorted, the keys of the value files under each shard
-// directory that route to that shard — so a reopened store lists what any
-// earlier process banked — plus those of the unbounded memory tier. The
-// walk sweeps temp files older than a minute, a failed write's leftovers.
+// Keys returns, sorted, the store's durable record. For a disk store that
+// is the value files under each shard directory that route to that shard
+// — so a reopened store lists what any earlier process banked, and a key
+// held only in the hot cache is not listed. The walk sweeps temp files
+// older than a minute, a failed write's leftovers. For a memory-only
+// store it is the hot cache's entries.
 func (s *ShardedStore) Keys() []string {
-	seen := map[string]bool{}
-	for _, sh := range s.shards {
-		if sh.dir != "" {
-			// Keys reports no error: a shard directory it cannot list
-			// contributes no keys.
-			_ = walkShard(sh.dir, time.Minute, func(key string, _ os.DirEntry) {
-				if s.shard(key) == sh {
-					seen[key] = true
-				}
-			})
-		}
-		sh.mu.RLock()
-		for k := range sh.mem {
-			seen[k] = true
-		}
-		sh.mu.RUnlock()
+	if s.dir == "" {
+		keys := s.hot.keys()
+		sort.Strings(keys)
+		return keys
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
+	var keys []string
+	for _, sh := range s.shards {
+		// Keys reports no error: a shard directory it cannot list
+		// contributes no keys.
+		_ = walkShard(sh.dir, time.Minute, func(key string, _ os.DirEntry) {
+			if s.shard(key) == sh {
+				keys = append(keys, key)
+			}
+		})
 	}
 	sort.Strings(keys)
 	return keys

@@ -3,6 +3,9 @@ package rl
 import (
 	"encoding/json"
 	"fmt"
+
+	"astro/internal/features"
+	"astro/internal/perfmon"
 )
 
 // Snapshot is a serializable capture of a trained agent, exact for
@@ -66,24 +69,38 @@ func (t *Tabular) Snapshot() *Snapshot {
 	}
 }
 
-// Restore reconstructs the captured agent.
+// Restore reconstructs the captured agent. Snapshot bytes can arrive
+// from outside the process (a worker's training result), so every size
+// the agent would allocate is checked against the decoded parameters
+// first: a refused snapshot allocates nothing.
 func (s *Snapshot) Restore() (Agent, error) {
+	if s.NConfigs < 1 {
+		return nil, fmt.Errorf("rl: snapshot has %d configurations, want at least 1", s.NConfigs)
+	}
 	switch s.Kind {
 	case "dqn":
 		if s.Config == nil {
 			return nil, fmt.Errorf("rl: dqn snapshot missing config")
 		}
-		d := NewDQN(s.NConfigs, *s.Config)
+		cfg := *s.Config
+		cfg.setDefaults()
+		if err := checkDQNShape(s.NConfigs, cfg.Hidden, s.Weights, s.Biases); err != nil {
+			return nil, fmt.Errorf("rl: restore dqn: %w", err)
+		}
+		d := NewDQN(s.NConfigs, cfg)
 		if err := d.net.SetWeights(s.Weights, s.Biases); err != nil {
 			return nil, fmt.Errorf("rl: restore dqn: %w", err)
 		}
 		d.eps = s.Eps
 		return d, nil
 	case "tabular":
-		t := NewTabular(s.NConfigs, s.Seed)
-		if len(s.Q) != len(t.q) {
-			return nil, fmt.Errorf("rl: restore tabular: q size %d, want %d", len(s.Q), len(t.q))
+		// len(q) must be NConfigs² × the phase count; dividing, rather
+		// than multiplying NConfigs out, cannot overflow.
+		n, per := len(s.Q), features.NumPhases*perfmon.NumPhases
+		if n%s.NConfigs != 0 || n/s.NConfigs%per != 0 || n/s.NConfigs/per != s.NConfigs {
+			return nil, fmt.Errorf("rl: restore tabular: q size %d does not fit %d configurations", n, s.NConfigs)
 		}
+		t := NewTabular(s.NConfigs, s.Seed)
 		copy(t.q, s.Q)
 		t.eps = s.Eps
 		if s.Alpha != 0 {
@@ -101,6 +118,25 @@ func (s *Snapshot) Restore() (Agent, error) {
 		return t, nil
 	}
 	return nil, fmt.Errorf("rl: unknown snapshot kind %q", s.Kind)
+}
+
+// checkDQNShape reports whether w and b are the layers of a network
+// sized [EncodeDim(nConfigs), hidden, nConfigs]. Each size is compared
+// with a decoded length before it is used, so none can overflow.
+func checkDQNShape(nConfigs, hidden int, w [][][]float64, b [][]float64) error {
+	if hidden < 0 || len(w) != 2 || len(b) != 2 ||
+		len(w[0]) != hidden || len(b[0]) != hidden || len(w[1]) != nConfigs || len(b[1]) != nConfigs {
+		return fmt.Errorf("rl: network shape does not fit %d configurations and %d hidden units", nConfigs, hidden)
+	}
+	in := EncodeDim(nConfigs)
+	for l, width := range []int{in, hidden} {
+		for o, row := range w[l] {
+			if len(row) != width {
+				return fmt.Errorf("rl: layer %d row %d has %d weights, want %d", l, o, len(row), width)
+			}
+		}
+	}
+	return nil
 }
 
 // Encode serializes the snapshot.
