@@ -4,7 +4,10 @@
 // latency) and the hardware-phase performance counters (CMA, CMI).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Level identifies where an access was satisfied.
 type Level uint8
@@ -48,11 +51,40 @@ type Cache struct {
 
 	hits   uint64
 	misses uint64
+
+	pool *sync.Pool // where Release returns the cache: its geometry's pool
+}
+
+// geometry is what makes two caches interchangeable: a released cache only
+// serves a New of the same size, ways and line size.
+type geometry struct{ size, ways, line int }
+
+// pools holds one pool of released caches per geometry. A machine model has
+// a handful of geometries (the zoo's L2 sizes are powers of two between 512
+// KiB and 2 MiB), so the map stays small; sync.Pool drops idle caches at GC,
+// so an entry pins no tag pages.
+var (
+	poolsMu sync.Mutex
+	pools   = map[geometry]*sync.Pool{}
+)
+
+func poolFor(g geometry) *sync.Pool {
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := pools[g]
+	if p == nil {
+		p = new(sync.Pool)
+		pools[g] = p
+	}
+	return p
 }
 
 // New builds a cache of sizeBytes with the given associativity and line
 // size. Size, ways and line size must make a power-of-two number of sets,
-// and a line must be at least 2 bytes.
+// and a line must be at least 2 bytes. It reuses a released cache of the
+// same geometry when one is pooled, with the tag pages that cache had
+// allocated; a reused cache is empty with zeroed counters, so it behaves
+// exactly as a fresh one.
 func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry %d/%d/%d", sizeBytes, ways, lineBytes)
@@ -68,9 +100,14 @@ func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if numSets&(numSets-1) != 0 {
 		return nil, fmt.Errorf("cache: %d sets not a power of two", numSets)
 	}
+	pool := poolFor(geometry{sizeBytes, ways, lineBytes})
+	if c, _ := pool.Get().(*Cache); c != nil {
+		return c, nil
+	}
 	c := &Cache{
 		ways:    ways,
 		setMask: uint64(numSets - 1),
+		pool:    pool,
 	}
 	for 1<<c.pageShift < min(numSets, pageSets) {
 		c.pageShift++
@@ -163,6 +200,16 @@ func (c *Cache) Invalidate() {
 			p[i] = empty
 		}
 	}
+}
+
+// Release empties c, zeroes its counters and hands it, with the tag pages
+// it allocated, to the pool that New draws caches of its geometry from.
+// The caller must hold the only reference: nothing may use c after
+// Release, and a cache is released at most once.
+func (c *Cache) Release() {
+	c.Invalidate()
+	c.ResetStats()
+	c.pool.Put(c)
 }
 
 // Hierarchy is a two-level cache path (a core's L1 backed by its cluster's

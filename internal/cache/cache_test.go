@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -297,7 +298,10 @@ var lruGeometries = [][3]int{
 // is three bytes: a kind, then a tag byte and a set byte. Kind%8 0–4
 // accesses, 5–6 probes, 7 invalidates; kind/8 is the byte offset inside the
 // line. The tag byte picks one of 256 lines per set, so a stream can cycle
-// any number of lines through one set.
+// any number of lines through one set. Half way through the stream the
+// cache is released and replaced by a New one of the same geometry, checked
+// against a fresh reference from there on, so a recycled cache must answer
+// exactly as a new one; the cache is released again at the end.
 func checkLRU(t *testing.T, g [3]int, ops []byte) {
 	t.Helper()
 	c, ref := MustNew(g[0], g[1], g[2]), newRef(g[0], g[1], g[2])
@@ -305,7 +309,12 @@ func checkLRU(t *testing.T, g [3]int, ops []byte) {
 	for 1<<setBits < g[0]/g[1]/g[2] {
 		setBits++
 	}
+	half := len(ops) / 6 * 3
 	for i := 0; i+3 <= len(ops); i += 3 {
+		if i == half && i > 0 {
+			c.Release()
+			c, ref = MustNew(g[0], g[1], g[2]), newRef(g[0], g[1], g[2])
+		}
 		kind, tag, set := ops[i], uint64(ops[i+1]), uint64(ops[i+2])
 		line := tag<<setBits | set&ref.setMask
 		addr := line<<ref.lineShift | uint64(kind/8)%uint64(g[2])
@@ -332,6 +341,7 @@ func checkLRU(t *testing.T, g [3]int, ops []byte) {
 			t.Fatalf("%v final Probe(line %#x) = %v, reference %v", g, line, got, want)
 		}
 	}
+	c.Release()
 }
 
 // cycleOps builds n accesses that cycle lines tags through one set.
@@ -371,17 +381,70 @@ func TestCacheMatchesLRUReference(t *testing.T) {
 			})
 		}
 	}
+	// Neighbouring geometries in turn, each releasing its caches into its
+	// own pool: a cache of one geometry serving the other would answer
+	// from the wrong sets.
+	for i := 1; i < len(lruGeometries); i++ {
+		a, b := lruGeometries[i-1], lruGeometries[i]
+		t.Run(fmt.Sprintf("alternate-%d-%d", a[0], b[0]), func(t *testing.T) {
+			for _, g := range [][3]int{a, b, a, b} {
+				checkLRU(t, g, narrow)
+			}
+		})
+	}
+}
+
+// TestReleaseRecycles pins what Release hands back: New of the same
+// geometry reuses the released cache, empty and with zeroed counters, and
+// New of another geometry never does.
+func TestReleaseRecycles(t *testing.T) {
+	// One P: a Put and the next Get meet in the same pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := MustNew(1024, 4, 64)
+	for a := uint64(0); a < 2048; a += 64 {
+		c.Access(a)
+	}
+	c.Release()
+	if other := MustNew(2048, 4, 64); other == c {
+		t.Fatal("a cache of another size took the released cache")
+	}
+	if other := MustNew(1024, 2, 64); other == c {
+		t.Fatal("a cache of other ways took the released cache")
+	}
+	if other := MustNew(1024, 4, 32); other == c {
+		t.Fatal("a cache of another line size took the released cache")
+	}
+	r := MustNew(1024, 4, 64)
+	if r != c && !raceEnabled {
+		t.Fatal("New of the same geometry did not reuse the released cache")
+	}
+	if h, m := r.Stats(); h != 0 || m != 0 {
+		t.Fatalf("reused cache stats %d/%d, want 0/0", h, m)
+	}
+	for a := uint64(0); a < 2048; a += 64 {
+		if r.Probe(a) {
+			t.Fatalf("line %#x survived Release", a)
+		}
+	}
 }
 
 // FuzzCacheLRU mutates op streams (see checkLRU) and checks the cache
-// against the reference model; the first byte picks the geometry. Its seed
-// corpus is testdata/fuzz/FuzzCacheLRU.
+// against the reference model. The first byte picks a geometry and a
+// second one; when they differ, the stream replays on the second and then
+// the first again, so released caches of the two geometries alternate in
+// their pools. Its seed corpus is testdata/fuzz/FuzzCacheLRU.
 func FuzzCacheLRU(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		checkLRU(t, lruGeometries[int(data[0])%len(lruGeometries)], data[1:])
+		n := len(lruGeometries)
+		g, other := lruGeometries[int(data[0])%n], lruGeometries[int(data[0])/n%n]
+		checkLRU(t, g, data[1:])
+		if other != g {
+			checkLRU(t, other, data[1:])
+			checkLRU(t, g, data[1:])
+		}
 	})
 }
 

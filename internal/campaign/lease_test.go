@@ -168,3 +168,59 @@ func TestTrainLeasePublishesOnlyThroughResult(t *testing.T) {
 		t.Fatal("banked snapshot differs from the submitted bytes")
 	}
 }
+
+// TestWorkerLeaseBody pins how a worker reads a lease response: into one
+// buffer it keeps across leases, and a body that is malformed, cut short
+// of its declared length or over the size limit is an error, never a
+// partial lease.
+func TestWorkerLeaseBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/ok/lease":
+			json.NewEncoder(w).Encode(LeaseResponse{Cells: []*WireJob{{Key: "k", Label: "cell"}}, LeaseTTLMS: 1500, RetryAfterMS: 20})
+		case "/malformed/lease":
+			io.WriteString(w, `{"cells":[`)
+		case "/truncated/lease":
+			w.Header().Set("Content-Length", "100")
+			io.WriteString(w, `{"cells":[]}`)
+		}
+	}))
+	defer srv.Close()
+	ctx := context.Background()
+	w := &Worker{Coordinator: srv.URL + "/ok", ID: "w"}
+	capacity := 0
+	for i := 0; i < 3; i++ {
+		cells, retry, ttl, err := w.lease(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) != 1 || cells[0].Key != "k" || retry != 20*time.Millisecond || ttl != 1500*time.Millisecond {
+			t.Fatalf("lease %d: %d cells, retry %v, ttl %v", i, len(cells), retry, ttl)
+		}
+		if w.leaseBody.Len() == 0 {
+			t.Fatalf("lease %d: the body did not go through the worker's buffer", i)
+		}
+		if i > 0 && w.leaseBody.Cap() != capacity {
+			t.Fatalf("lease %d grew the body buffer from %d to %d bytes", i, capacity, w.leaseBody.Cap())
+		}
+		capacity = w.leaseBody.Cap()
+	}
+	for _, bad := range []string{"malformed", "truncated"} {
+		w.Coordinator = srv.URL + "/" + bad
+		if cells, _, _, err := w.lease(ctx); err == nil {
+			t.Fatalf("%s body: leased %d cells, want an error", bad, len(cells))
+		}
+	}
+
+	// The limit, at a size a test can afford to exceed.
+	var buf bytes.Buffer
+	if err := readLimited(&buf, strings.NewReader("12345"), 5); err != nil || buf.String() != "12345" {
+		t.Fatalf("body at the limit: %q, %v", buf.String(), err)
+	}
+	if err := readLimited(&buf, strings.NewReader("123456"), 5); err == nil {
+		t.Fatal("body over the limit read without an error")
+	}
+	if err := readLimited(&buf, strings.NewReader("12"), 5); err != nil || buf.String() != "12" {
+		t.Fatalf("reused buffer: %q, %v", buf.String(), err)
+	}
+}

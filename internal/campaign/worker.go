@@ -79,7 +79,8 @@ type Worker struct {
 
 	agentsOnce sync.Once
 	agents     ResultStore
-	modules    moduleMemo // decoded modules by content; see moduleMemo
+	modules    moduleMemo   // decoded modules by content; see moduleMemo
+	leaseBody  bytes.Buffer // lease response bodies, reused: Run leases one batch at a time
 
 	leaseErrs atomic.Uint64 // cumulative failed lease attempts (also self-reported to the coordinator)
 	draining  atomic.Bool   // Drain was called: finish the current batch, then Run returns
@@ -568,11 +569,27 @@ func (w *Worker) lease(ctx context.Context) ([]*WireJob, time.Duration, time.Dur
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
 		return nil, 0, 0, fmt.Errorf("campaign: lease: coordinator returned %s", resp.Status)
 	}
+	if err := readLimited(&w.leaseBody, resp.Body, maxResultBytes); err != nil {
+		return nil, 0, 0, fmt.Errorf("campaign: lease: %w", err)
+	}
 	var lr LeaseResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResultBytes)).Decode(&lr); err != nil {
-		return nil, 0, 0, err
+	if err := json.Unmarshal(w.leaseBody.Bytes(), &lr); err != nil {
+		return nil, 0, 0, fmt.Errorf("campaign: lease: %w", err)
 	}
 	return lr.Cells, time.Duration(lr.RetryAfterMS) * time.Millisecond, time.Duration(lr.LeaseTTLMS) * time.Millisecond, nil
+}
+
+// readLimited replaces buf's contents with everything r holds, keeping
+// buf's capacity, and fails when r holds more than limit bytes.
+func readLimited(buf *bytes.Buffer, r io.Reader, limit int64) error {
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(r, limit+1)); err != nil {
+		return err
+	}
+	if int64(buf.Len()) > limit {
+		return fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return nil
 }
 
 // execute runs one cell — simulation or training — and submits its result

@@ -9,16 +9,16 @@ package sim
 // Regenerate the committed BENCH_*.json baseline (and gate the pinned
 // Minstr/s throughput metrics against the prior one) with:
 //
-//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine|BenchmarkHierarchyAccess|BenchmarkEncodeResult|BenchmarkDecodeResult|BenchmarkCompileModule' -benchmem -benchtime 0.3s -count 3 ./internal/sim/ ./internal/cache/
+//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine|BenchmarkMachineRun|BenchmarkHierarchyAccess|BenchmarkEncodeResult|BenchmarkDecodeResult|BenchmarkCompileModule' -benchmem -benchtime 0.3s -count 3 ./internal/sim/ ./internal/cache/
 //	 go test -run '^$' -bench 'BenchmarkObserve' -benchmem -benchtime 0.3s -count 3 ./internal/rl/
 //	 go test -run '^$' -bench 'BenchmarkWireJobDecode' -benchmem -benchtime 0.3s -count 3 ./internal/campaign/
 //	 go test -run '^$' -bench '^BenchmarkCompile(Grid)?$' -benchmem -benchtime 0.3s -count 3 . ./internal/scenario/) \
-//	  | go run ./cmd/astro-bench -o BENCH_21.json -prev BENCH_20.json -max-regress 15
+//	  | go run ./cmd/astro-bench -o BENCH_23.json -prev BENCH_22.json -max-regress 15
 //
 // Only the Minstr/s metrics gate. The result codec's rungs
 // (BenchmarkEncodeResult, BenchmarkDecodeResult, in codec_test.go),
-// BenchmarkCompileModule, the front end's and the worker decode's rungs
-// are recorded but not gated.
+// BenchmarkCompileModule, BenchmarkMachineRun, the front end's and the
+// worker decode's rungs are recorded but not gated.
 
 import (
 	"fmt"
@@ -231,6 +231,35 @@ func BenchmarkNewMachine(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := New(mod, plat, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMachineRun runs one complete simulation of a Fig. 10 benchmark
+// (hotspot) per iteration at fig10's Small scale, machine construction
+// included: the simulator's share of one fig10 sample cell (fig10 cells
+// run under GTS, which lives above this package, so this one keeps the
+// default OS policy). Each iteration's machine takes the memory and caches
+// the previous one released. It is recorded in the BENCH trajectory
+// (ns/op, B/op, allocs/op), not gated.
+func BenchmarkMachineRun(b *testing.B) {
+	spec, ok := workloads.ByName("hotspot")
+	if !ok {
+		b.Fatal("workload hotspot not registered")
+	}
+	mod, err := spec.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Seed: 9000, Args: spec.SmallArgs(), CheckpointS: 400e-6, QuantumS: 50e-6, TickS: 200e-6}
+	b.ReportAllocs()
+	for b.Loop() {
+		m, err := New(mod, hw.OdroidXU4(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

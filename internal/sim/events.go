@@ -100,11 +100,17 @@ func (m *Machine) scheduleCoreRun(c *core, at float64) {
 	m.schedule(event{time: at, kind: evCoreRun, core: c.idx})
 }
 
-// Run executes the program to completion and returns the result.
+// Run executes the program to completion and returns the result. A machine
+// runs once: a second call is an error. On every return, success or error,
+// Run hands the machine's memory and caches to the pools New draws from,
+// after the result is built, so nothing may read them once Run returns;
+// the result and the accessors policies use stay valid.
 func (m *Machine) Run() (*Result, error) {
-	if m.threads != nil {
+	if m.ran {
 		return nil, fmt.Errorf("sim: machine already ran")
 	}
+	m.ran = true
+	defer m.release()
 	// Boot: create the main thread and start the periodic machinery.
 	main, err := m.newThread(-1, m.mod.FuncIndex["main"], m.opts.Args)
 	if err != nil {

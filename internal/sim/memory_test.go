@@ -10,9 +10,12 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
+	"astro/internal/cache"
 	"astro/internal/hw"
 	"astro/internal/ir"
 )
@@ -169,4 +172,213 @@ func TestNewMachineAllocs(t *testing.T) {
 	if bytesPerNew > 32<<10 {
 		t.Errorf("sim.New allocates %d bytes, want <= %d", bytesPerNew, 32<<10)
 	}
+
+	t.Run("recycle", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("the race detector's sync.Pool drops Puts at random")
+		}
+		// One P and no GC: a Put and the next Get meet in the same pool.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		mod := compile(t, recycleSrc)
+		cycle := func() (*[]uint64, []*cache.Cache, uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := New(mod, plat, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var caches []*cache.Cache
+			for _, c := range m.cores {
+				caches = append(caches, c.hier.L1c)
+			}
+			for _, l2 := range m.l2 {
+				caches = append(caches, l2)
+			}
+			mem := m.memBox
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return mem, caches, after.TotalAlloc - before.TotalAlloc
+		}
+		firstMem, firstCaches, firstBytes := cycle()
+		secondMem, secondCaches, secondBytes := cycle()
+		t.Logf("New+Run: %d B fresh, %d B recycled", firstBytes, secondBytes)
+		if secondMem != firstMem {
+			t.Error("the second machine did not take the first's memory")
+		}
+		taken := map[*cache.Cache]bool{}
+		for _, c := range firstCaches {
+			taken[c] = true
+		}
+		for _, c := range secondCaches {
+			if !taken[c] {
+				t.Fatal("the second machine built a cache instead of taking the first's")
+			}
+			delete(taken, c)
+		}
+		// The globals alone are 512 KiB and the tag pages the run touches
+		// 68 KiB; everything else it allocates is under 5 KiB.
+		if firstBytes < 512<<10 {
+			t.Fatalf("fresh New+Run allocates %d B, want the globals' 512 KiB at least", firstBytes)
+		}
+		if secondBytes > 16<<10 {
+			t.Errorf("recycled New+Run allocates %d B, want <= %d: no globals, no tag pages", secondBytes, 16<<10)
+		}
+	})
+}
+
+// recycleSrc writes one cell of every cache line of 512 KiB of globals, so
+// a fresh machine running it allocates the globals and a tag page for
+// every set of its core's L1 and of a 512 KiB LITTLE L2.
+const recycleSrc = `
+var g [65536] int;
+func main() {
+	var i int;
+	for (i = 0; i < 65536; i = i + 8) {
+		g[i] = i;
+	}
+}
+`
+
+// TestDirtyMemPoolReadsZero pins that a recycled memory buffer cannot leak
+// into a run. With a garbage-filled buffer larger than the whole address
+// space in the pool, boundarySrc reads 0 at a global and at the last cell
+// of the last thread's stack (memory the run grows into the buffer's spare
+// capacity) on both tiers, and each result encodes to the same bytes as
+// the run on fresh memory.
+func TestDirtyMemPoolReadsZero(t *testing.T) {
+	// One P: a Put and the next Get meet in the same pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mod := compile(t, boundarySrc)
+	plat := hw.OdroidXU4()
+	opts := Options{Seed: 1, CaptureOutput: true}
+	opts.setDefaults()
+	memCells := mod.GlobalCells() + int64(opts.MaxThreads)*opts.StackCells
+	run := func(t *testing.T, opts Options, dirty bool) []byte {
+		t.Helper()
+		var m *Machine
+		for {
+			runtime.GC() // two GCs empty every sync.Pool
+			runtime.GC()
+			var garbage []uint64
+			if dirty {
+				garbage = make([]uint64, memCells+64)
+				for i := range garbage {
+					garbage[i] = ^uint64(i)
+				}
+				memPool.Put(&garbage)
+			}
+			var err error
+			if m, err = New(mod, plat, opts); err != nil {
+				t.Fatal(err)
+			}
+			if !dirty || m.memBox == &garbage {
+				break
+			}
+			// The race detector dropped the Put: try again.
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(res.Output, ","); got != "0,1,42" {
+			t.Fatalf("dirty=%v: output %q, want 0,1,42", dirty, got)
+		}
+		enc, err := EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	for _, legacy := range []bool{false, true} {
+		for _, idx := range []int64{1, memCells - 1 - mod.GlobalBase(0)} {
+			t.Run(fmt.Sprintf("legacy=%v/index=%d", legacy, idx), func(t *testing.T) {
+				opts := opts
+				opts.LegacyInterp = legacy
+				opts.Args = []int64{idx}
+				if fresh, dirty := run(t, opts, false), run(t, opts, true); !bytes.Equal(fresh, dirty) {
+					t.Fatalf("result on a dirty pooled buffer differs from fresh memory:\n%s\n%s", dirty, fresh)
+				}
+			})
+		}
+	}
+}
+
+// TestRunOnce pins the one-shot guard that keeps a machine off the memory
+// and caches its first Run released: a second Run is refused after a
+// success and after a Run that failed before its main thread existed.
+func TestRunOnce(t *testing.T) {
+	plat := hw.OdroidXU4()
+	for _, tc := range []struct {
+		name, src string
+		opts      Options
+		firstErr  string
+	}{
+		{"success", storeFirstSrc, Options{Args: []int64{0}}, ""},
+		{"no main thread", "func main() { var a [64] int; a[0] = 1; }", Options{StackCells: 16}, "stack overflow"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(compile(t, tc.src), plat, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = m.Run()
+			if tc.firstErr == "" && err != nil || tc.firstErr != "" && (err == nil || !strings.Contains(err.Error(), tc.firstErr)) {
+				t.Fatalf("first Run: %v, want %q", err, tc.firstErr)
+			}
+			if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "already ran") {
+				t.Fatalf("second Run: %v, want machine already ran", err)
+			}
+		})
+	}
+}
+
+// TestConcurrentRecycleByteIdentity runs machines on several goroutines at
+// once, as a campaign's executors do, so the pools hand memory and caches
+// across goroutines; every result must encode to the bytes of a run on
+// fresh memory and caches. Run it under -race.
+func TestConcurrentRecycleByteIdentity(t *testing.T) {
+	plat := hw.OdroidXU4()
+	mods := []*ir.Module{compile(t, recycleSrc), compile(t, growInCallSrc)}
+	run := func(mod *ir.Module) ([]byte, error) {
+		m, err := New(mod, plat, Options{Seed: 5, CaptureOutput: true})
+		if err != nil {
+			return nil, err
+		}
+		res, err := m.Run()
+		if err != nil {
+			return nil, err
+		}
+		return EncodeResult(res)
+	}
+	runtime.GC() // two GCs empty every sync.Pool
+	runtime.GC()
+	want := make([][]byte, len(mods))
+	for i, mod := range mods {
+		var err error
+		if want[i], err = run(mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				k := (g + i) % len(mods)
+				got, err := run(mods[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want[k]) {
+					t.Errorf("goroutine %d run %d: module %d encodes differently on recycled memory", g, i, k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"astro/internal/cache"
 	"astro/internal/hw"
@@ -151,8 +152,9 @@ type Machine struct {
 	prog *Program // precompiled fast-path code (nil with Options.LegacyInterp)
 	opts Options
 
-	mem      []uint64 // the allocated prefix of the address space
-	memCells int64    // logical size: globals plus every thread's stack
+	mem      []uint64  // the allocated prefix of the address space
+	memBox   *[]uint64 // mem's entry in memPool, handed back by release
+	memCells int64     // logical size: globals plus every thread's stack
 	cores    []*core
 	l2       map[hw.CoreType]*cache.Cache
 	threads  []*Thread
@@ -193,6 +195,7 @@ type Machine struct {
 
 	rngState uint64
 	err      error
+	ran      bool // Run was called: a machine runs once
 }
 
 type lockState struct {
@@ -276,7 +279,7 @@ func NewWithProgram(mod *ir.Module, plat *hw.Platform, opts Options, prog *Progr
 		rngState: uint64(opts.Seed)*2654435761 + 0x9E3779B97F4A7C15,
 	}
 	m.memCells = mod.GlobalCells() + int64(opts.MaxThreads)*opts.StackCells
-	m.mem = make([]uint64, mod.GlobalCells())
+	m.takeMem(mod.GlobalCells())
 	for ct, kb := range plat.L2KB {
 		m.l2[ct] = cache.MustNew(kb*1024, plat.L2Ways, plat.LineBytes)
 	}
@@ -320,6 +323,44 @@ func NewWithProgram(mod *ir.Module, plat *hw.Platform, opts Options, prog *Progr
 		m.opts.OS = &LeastLoaded{}
 	}
 	return m, nil
+}
+
+// memPool recycles the memory of machines that finished Run. It holds
+// *[]uint64 so that a Put does not allocate; sync.Pool drops idle buffers
+// at GC, so a long-lived process pins none.
+var memPool sync.Pool
+
+// takeMem sets m.mem to n zeroed cells, in a released buffer when the pool
+// has one large enough. Only those n cells are cleared: the buffer's spare
+// capacity may still hold an earlier machine's cells, and growMem zero-fills
+// everything it appends.
+func (m *Machine) takeMem(n int64) {
+	b, _ := memPool.Get().(*[]uint64)
+	if b == nil {
+		b = new([]uint64)
+	}
+	if int64(cap(*b)) < n {
+		*b = make([]uint64, n)
+	}
+	m.mem, m.memBox = (*b)[:n], b
+	clear(m.mem)
+}
+
+// release hands the machine's memory and its L1 and L2 caches to the pools
+// that New draws from, and drops the machine's references to them so that
+// a stray use fails loudly instead of touching another machine's state.
+func (m *Machine) release() {
+	*m.memBox = m.mem
+	memPool.Put(m.memBox)
+	m.mem, m.memBox = nil, nil
+	for _, c := range m.cores {
+		c.hier.L1c.Release()
+		c.hier = cache.Hierarchy{}
+	}
+	for _, l2 := range m.l2 {
+		l2.Release()
+	}
+	m.l2 = nil
 }
 
 // growMem backs addr with allocated memory, zero-filling every new cell and
