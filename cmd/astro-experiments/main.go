@@ -9,7 +9,7 @@
 // Usage:
 //
 //	astro-experiments [-scale small|paper] [-fig 1|3|4|6|9|10|11|table1|headline|all]
-//	                  [-j N] [-cache dir] [-store-max-bytes N] [-hot-cache-bytes N]
+//	                  [-j N] [-cache dir] [-store-max-bytes N]
 //	                  [-remote addr] [-lease-ttl d] [-timeout d]
 //
 // -remote turns this process into the coordinator of a worker fleet: it
@@ -54,7 +54,6 @@ func main() {
 	jobs := flag.Int("j", runtime.NumCPU(), "campaign pool workers for simulation sweeps")
 	cacheDir := flag.String("cache", "", "on-disk result cache directory (default: in-memory only)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "cap the on-disk result store; LRU-evicts unpinned entries past the cap (0 = unbounded; requires -cache)")
-	hotCacheBytes := flag.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap; 0 without -store-max-bytes = unbounded)")
 	remoteAddr := flag.String("remote", "", "listen address: become the coordinator of an `astro worker` fleet and lease every cell (simulations and training) to it")
 	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "with -remote: how long a worker holds a cell between renewals")
 	token := flag.String("token", "", "with -remote: bearer token required on the /work endpoints (empty = open)")
@@ -77,7 +76,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	store, err := campaign.NewShardedStoreWith(*cacheDir, 0, campaign.StoreConfig{MaxBytes: *storeMaxBytes, HotBytes: *hotCacheBytes})
+	store, err := campaign.NewShardedStoreWith(*cacheDir, 0, campaign.StoreConfig{MaxBytes: *storeMaxBytes})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "astro-experiments:", err)
 		os.Exit(1)

@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	astro-serve [-addr :8080] [-j N] [-cache dir] [-shards N] [-store-max-bytes N] [-hot-cache-bytes N] [-remote] [-lease-ttl d] [-token t] [-journal dir]
+//	astro-serve [-addr :8080] [-j N] [-cache dir] [-shards N] [-store-max-bytes N] [-remote] [-lease-ttl d] [-token t] [-journal dir]
 //
 // -shards 0 (the default) opens -cache with the shard count it was created
 // with, or as one shard when the directory is new.
@@ -51,7 +51,6 @@ func main() {
 	cacheDir := flag.String("cache", "", "on-disk result cache directory (default: in-memory only)")
 	shards := flag.Int("shards", 0, "shard the result store by key prefix for concurrent writers (0 = the existing store's count, or 1 for a new directory)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "cap the on-disk result store; LRU-evicts unpinned entries past the cap (0 = unbounded; requires -cache)")
-	hotCacheBytes := flag.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap; 0 without -store-max-bytes = unbounded)")
 	remote := flag.Bool("remote", false, "execute campaigns on pull-based workers (`astro worker`) instead of in-process")
 	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "how long a worker holds a cell before it re-leases")
 	token := flag.String("token", "", "bearer token required on all /work endpoints (empty = open, trusted-network)")
@@ -59,7 +58,7 @@ func main() {
 	journalDir := flag.String("journal", "", "flight-recorder directory: journal every queue lifecycle event as segment-rotated JSONL (empty = off)")
 	flag.Parse()
 
-	storeCfg := campaign.StoreConfig{MaxBytes: *storeMaxBytes, HotBytes: *hotCacheBytes}
+	storeCfg := campaign.StoreConfig{MaxBytes: *storeMaxBytes}
 	store, err := campaign.NewShardedStoreWith(*cacheDir, *shards, storeCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "astro-serve:", err)

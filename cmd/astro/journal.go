@@ -21,7 +21,8 @@ import (
 // store the dead coordinator wrote: every journaled completion must have
 // its content key banked (completions are journaled only after the bytes
 // reach the store, so a miss here means real loss, not an interrupted
-// write). The audit failing is a non-zero exit.
+// write; a completion whose Put the store refused is journaled with an
+// "unbanked" cause and not audited). The audit failing is a non-zero exit.
 func cmdJournal(args []string) error {
 	if len(args) < 1 || args[0] != "replay" {
 		return fmt.Errorf("usage: astro journal replay [-store dir] <journal-dir>")

@@ -98,6 +98,38 @@ func TestStorePutSingleDiskWrite(t *testing.T) {
 	}
 }
 
+// TestStorePutWaitsForInFlightWrite: a Put that finds the same key's
+// write in flight returns only once the file exists, so a Get right after
+// it hits (a disk store keeps no memory copy to cover the gap), and the
+// key still costs one disk write.
+func TestStorePutWaitsForInFlightWrite(t *testing.T) {
+	s, err := NewShardedStore(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 40
+	for i := 0; i < keys; i++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s.Put(testKey(i), valFor(i, 3000)); err != nil {
+					t.Error(err)
+					return
+				}
+				if got, ok := s.Get(testKey(i)); !ok || !bytes.Equal(got, valFor(i, 3000)) {
+					t.Errorf("key %d: Get after a returned Put missed or differs (ok=%v)", i, ok)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if occ := s.Occupancy(); occ.DiskWrites != keys {
+		t.Fatalf("disk writes = %d, want %d (one per unique key)", occ.DiskWrites, keys)
+	}
+}
+
 // TestStoreCapRequiresDisk: a byte cap on a memory-only store would evict
 // authoritative bytes, and a negative cap would silently mean unbounded;
 // the constructor must refuse both.
@@ -107,10 +139,8 @@ func TestStoreCapRequiresDisk(t *testing.T) {
 			t.Fatalf("memory-only %d-shard store accepted a byte cap", shards)
 		}
 	}
-	for _, cfg := range []StoreConfig{{MaxBytes: -1}, {HotBytes: -1}, {MaxBytes: 1 << 20, HotBytes: -1}} {
-		if _, err := NewShardedStoreWith(t.TempDir(), 0, cfg); err == nil {
-			t.Fatalf("store accepted negative caps %+v", cfg)
-		}
+	if _, err := NewShardedStoreWith(t.TempDir(), 0, StoreConfig{MaxBytes: -1}); err == nil {
+		t.Fatal("store accepted a negative cap")
 	}
 }
 
@@ -243,11 +273,11 @@ func TestBoundedStoreReopenHonorsLoweredCap(t *testing.T) {
 // TestBoundedStoreGetEvictionRace races Gets against Puts that force
 // evictions on one capped shard. A Get reads its value file without the
 // shard lock, so an eviction may unlink the key in between: the Get must
-// then neither track the key as on disk nor cache it, or the next Put of
-// it takes the "already durable" no-op and writes nothing.
+// then not track the key as on disk, or the next Put of it takes the
+// "already durable" no-op and writes nothing.
 func TestBoundedStoreGetEvictionRace(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewShardedStoreWith(dir, 1, StoreConfig{MaxBytes: 2000, HotBytes: 300})
+	s, err := NewShardedStoreWith(dir, 1, StoreConfig{MaxBytes: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +308,6 @@ func TestBoundedStoreGetEvictionRace(t *testing.T) {
 				t.Fatalf("round %d: key %s tracked as on disk without a file: %v", round, k[:8], err)
 			}
 		}
-		for _, k := range s.hot.keys() {
-			if _, ok := sh.disk[k]; !ok {
-				t.Fatalf("round %d: evicted key %s still in the hot cache", round, k[:8])
-			}
-		}
 		sh.mu.RUnlock()
 		occ := s.Occupancy()
 		if bytesOnDisk, keysOnDisk := diskBytesOf(t, dir); occ.DiskBytes != bytesOnDisk || occ.DiskKeys != keysOnDisk {
@@ -309,23 +334,36 @@ func TestBoundedStoreGetEvictionRace(t *testing.T) {
 func TestBoundedStoreProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runBoundedProperty(t, seed, 1, 24, 600, StoreConfig{MaxBytes: 2000, HotBytes: 700})
+			runBoundedProperty(t, seed, 1, 24, 600, StoreConfig{MaxBytes: 2000})
 		})
 	}
 }
 
 // TestShardedBoundedProperty runs the same state machine over four
-// shards: the per-shard caps, the shared hot cache and the shared pin
-// ledger must uphold the same invariants.
+// shards: the per-shard caps and the shared pin ledger must uphold the
+// same invariants. The uncapped input checks read-your-writes: with no
+// cap nothing is evicted, and no memory copy can cover for a value file
+// a Put failed to write.
 func TestShardedBoundedProperty(t *testing.T) {
-	runBoundedProperty(t, 99, 4, 40, 500, StoreConfig{MaxBytes: 4000, HotBytes: 1000})
+	for _, tc := range []struct {
+		name string
+		cfg  StoreConfig
+	}{
+		{"capped", StoreConfig{MaxBytes: 4000}},
+		{"uncapped", StoreConfig{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runBoundedProperty(t, 99, 4, 40, 500, tc.cfg)
+		})
+	}
 }
 
-// runBoundedProperty drives a capped store through steps random
-// operations over a universe of keys, asserting that
+// runBoundedProperty drives a store through steps random operations over
+// a universe of keys, asserting that
 //
 //   - Get never returns wrong bytes — hit-with-reference-bytes or miss
-//     are the only outcomes;
+//     are the only outcomes, and an uncapped store never misses a key
+//     ever Put;
 //   - a pinned key, once on disk, stays there until its last unpin;
 //   - the store's byte accounting equals the bytes actually on disk;
 //   - a shard sits over its cap only when every entry left in it was
@@ -357,8 +395,12 @@ func runBoundedProperty(t *testing.T, seed int64, shards, universe, steps int, c
 			}
 			ref[key] = val
 		case op < 9: // Get
-			if got, ok := s.Get(key); ok && !bytes.Equal(got, ref[key]) {
+			got, ok := s.Get(key)
+			if ok && !bytes.Equal(got, ref[key]) {
 				t.Fatalf("step %d: Get(%s) returned wrong bytes", step, key[:8])
+			}
+			if _, put := ref[key]; !ok && put && cfg.MaxBytes == 0 {
+				t.Fatalf("step %d: uncapped store missed %s after its Put", step, key[:8])
 			}
 		case op < 10: // Pin
 			s.Pin(key)
@@ -397,7 +439,7 @@ func runBoundedProperty(t *testing.T, seed int64, shards, universe, steps int, c
 			occ.DiskBytes, occ.DiskKeys, bytesOnDisk, keysOnDisk)
 	}
 	for i, sh := range s.shards {
-		if sh.diskBytes <= sh.maxBytes {
+		if sh.maxBytes == 0 || sh.diskBytes <= sh.maxBytes {
 			continue
 		}
 		for k := range sh.disk {
@@ -563,37 +605,5 @@ func TestQueuePinsAgentKeyForCellLifetime(t *testing.T) {
 	flood(60, 90)
 	if _, err := os.Stat(valuePath(store, agentKey)); err == nil {
 		t.Fatal("cold unpinned snapshot survived the post-release flood")
-	}
-}
-
-// TestHotCacheBoundedLRU exercises the memory tier directly: the byte
-// bound holds, eviction is LRU, an oversized entry is refused, and drop
-// keeps the cache coherent with disk eviction.
-func TestHotCacheBoundedLRU(t *testing.T) {
-	h := newHotCache(300)
-	h.put("a", valFor(1, 100))
-	h.put("b", valFor(2, 100))
-	h.put("c", valFor(3, 100))
-	if _, ok := h.get("a"); !ok {
-		t.Fatal("cache evicted within its budget")
-	}
-	// "a" is now MRU; inserting "d" must evict "b", the LRU.
-	h.put("d", valFor(4, 100))
-	if _, ok := h.get("b"); ok {
-		t.Fatal("LRU entry survived over-budget insert")
-	}
-	if _, ok := h.get("a"); !ok {
-		t.Fatal("MRU entry evicted instead of LRU")
-	}
-	if h.size() > 300 {
-		t.Fatalf("cache holds %d bytes over its 300-byte bound", h.size())
-	}
-	h.put("huge", valFor(5, 301))
-	if _, ok := h.get("huge"); ok {
-		t.Fatal("entry larger than the whole cache was admitted")
-	}
-	h.drop("a")
-	if _, ok := h.get("a"); ok {
-		t.Fatal("dropped entry still resident")
 	}
 }

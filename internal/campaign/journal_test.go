@@ -132,6 +132,70 @@ func TestQueueJournalReplayMatchesStats(t *testing.T) {
 	}
 }
 
+// TestQueueUnbankedCompletionJournaled: when the store refuses a
+// completed cell's bytes, the cell still completes — its waiters get the
+// bytes, and the replayed counters still equal the live ones — but the
+// EvComplete carries the refusal as its cause, and replay leaves the key
+// out of CompletedKeys, so the store audit does not expect it.
+func TestQueueUnbankedCompletionJournaled(t *testing.T) {
+	dir := t.TempDir()
+	jw, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jw.Close()
+
+	q := NewWorkQueue(time.Minute)
+	fakeClock(q)
+	q.Events = jw
+	q.Store = refusingStore{}
+	w := wireJobs(t, 1)[0]
+	got := make(chan []byte, 1)
+	q.Enqueue(w, func(data []byte, err error) {
+		if err != nil {
+			t.Errorf("waiter saw error: %v", err)
+		}
+		got <- data
+	})
+	if leased := q.Lease("w1", 1); len(leased) != 1 {
+		t.Fatalf("lease: %+v", leased)
+	}
+	want := validResult(t, w)
+	if st := q.Complete("w1", w.Key, want, ""); st != CompleteAccepted {
+		t.Fatalf("complete: %v", st)
+	}
+	if data := <-got; string(data) != string(want) {
+		t.Fatal("waiter did not get the submitted bytes")
+	}
+
+	events, err := journal.ReadSince(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var complete *journal.Event
+	for i := range events {
+		if events[i].Type == journal.EvComplete {
+			complete = &events[i]
+		}
+	}
+	if complete == nil || complete.Cause != "unbanked: store full" {
+		t.Fatalf("EvComplete = %+v, want cause %q", complete, "unbanked: store full")
+	}
+	rep := journal.Replay(events)
+	if live := q.Stats(); rep.Completes != 1 || rep.Done != live.Done || rep.Workers["w1"].Completed != 1 {
+		t.Fatalf("replay %+v does not count the completion (live done %d)", rep, live.Done)
+	}
+	if keys := rep.CompletedKeys(); len(keys) != 0 {
+		t.Fatalf("replay lists unbanked keys %v for the store audit", keys)
+	}
+}
+
+// refusingStore is a ResultStore whose every Put fails.
+type refusingStore struct{}
+
+func (refusingStore) Get(string) ([]byte, bool) { return nil, false }
+func (refusingStore) Put(string, []byte) error  { return errors.New("store full") }
+
 // TestJournalSinkErrorsAreInert pins invariant 10's failure half: a sink
 // whose Record always fails must not change any queue outcome.
 func TestJournalSinkErrorsAreInert(t *testing.T) {

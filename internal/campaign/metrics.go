@@ -15,15 +15,11 @@ var (
 	cStoreHits   = telemetry.Default.Counter("astro_store_hits_total", "Result-store lookups served from memory or disk.")
 	cStoreMisses = telemetry.Default.Counter("astro_store_misses_total", "Result-store lookups that found nothing.")
 	cStorePuts   = telemetry.Default.Counter("astro_store_puts_total", "Results written to the store.")
-	hStoreGet    = telemetry.Default.Histogram("astro_store_get_seconds", "Store.Get latency (both tiers).", nil)
-	hStorePut    = telemetry.Default.Histogram("astro_store_put_seconds", "Store.Put latency (memory + crash-safe disk write).", nil)
+	hStoreGet    = telemetry.Default.Histogram("astro_store_get_seconds", "Store.Get latency (a memory-only map read or a value-file read).", nil)
+	hStorePut    = telemetry.Default.Histogram("astro_store_put_seconds", "Store.Put latency (a memory-only map write or a crash-safe disk write).", nil)
 
-	// Bounded-store machinery: hot cache, disk caps, pins
+	// Bounded-store machinery: disk caps, pins
 	// (see bounded.go and DESIGN.md invariant 11).
-	cHotHits         = telemetry.Default.Counter(`astro_store_hot_total{result="hit"}`, "Hot-cache lookups by outcome.")
-	cHotMisses       = telemetry.Default.Counter(`astro_store_hot_total{result="miss"}`, "Hot-cache lookups by outcome.")
-	cHotEvictions    = telemetry.Default.Counter("astro_store_hot_evictions_total", "Entries evicted from the hot in-memory cache.")
-	gHotBytes        = telemetry.Default.Gauge("astro_store_hot_bytes", "Bytes resident in the hot in-memory cache.")
 	cStoreDiskWrites = telemetry.Default.Counter("astro_store_disk_writes_total", "Value files written to the disk tier (one per unique key).")
 	cStorePutNoops   = telemetry.Default.Counter("astro_store_put_noops_total", "Puts of already-stored keys skipped without a disk write.")
 	cStoreEvictions  = telemetry.Default.Counter("astro_store_evictions_total", "Disk-tier entries evicted to honour the byte cap.")

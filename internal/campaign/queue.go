@@ -517,15 +517,21 @@ func (q *WorkQueue) CompleteSpans(workerID, key string, data []byte, workerErr s
 	// cancelled campaign's in-flight cell): the simulation is done; a
 	// future campaign wanting this key should hit the store, not
 	// re-simulate.
+	var cause string
 	if q.Store != nil {
-		_ = q.Store.Put(key, data)
+		if err := q.Store.Put(key, data); err != nil {
+			cause = "unbanked: " + err.Error()
+		}
 	}
 	// The completion is journaled only after the bytes reach the store
-	// (write data, then log): a journaled EvComplete therefore implies
-	// the result is banked, which is exactly what the postmortem audit
-	// checks after a kill -9. The cost is that this one event is emitted
-	// outside q.mu; Replay tolerates the benign reorderings that allows.
-	q.emit(journal.Event{Type: journal.EvComplete, Key: key, Worker: workerID, Kind: c.wire.Kind, Attempt: c.attempts})
+	// (write data, then log): a journaled EvComplete without a cause
+	// therefore implies the result is banked, which is exactly what the
+	// postmortem audit checks after a kill -9. A refused Put still
+	// completes the cell (its waiters have the bytes), so it is still an
+	// EvComplete, carrying the refusal as its cause. The cost is that
+	// this one event is emitted outside q.mu; Replay tolerates the benign
+	// reorderings that allows.
+	q.emit(journal.Event{Type: journal.EvComplete, Key: key, Worker: workerID, Kind: c.wire.Kind, Attempt: c.attempts, Cause: cause})
 	waiters()
 	return CompleteAccepted
 }

@@ -16,9 +16,9 @@ import (
 
 // shard is one partition of a ShardedStore: when the store has a
 // directory, a disk tier laid out as <key[:2]>/<key>.json under
-// shard-XX/, fronted by the store's shared hot cache (the one memory
-// tier). The value files are the only record of what the disk tier
-// holds; the two-character fan-out keeps directories small for
+// shard-XX/, and otherwise a plain map. A disk shard keeps no value bytes
+// in memory: the value files are the only record of what it holds, and
+// the two-character fan-out keeps directories small for
 // hundred-thousand-job campaigns.
 //
 // In a bounded store the disk tier holds at most maxBytes of value bytes,
@@ -30,11 +30,13 @@ import (
 // see PinLedger — are skipped by eviction, which is how trained-agent
 // snapshots referenced by live campaigns survive any pressure.
 type shard struct {
-	s     *ShardedStore    // owner: shared hot cache, pin ledger, occupancy totals
+	s     *ShardedStore    // owner: pin ledger, occupancy totals
 	dir   string           // "" = memory-only
 	gauge *telemetry.Gauge // disk-tier keys tracked in this shard; nil when memory-only
 
 	mu sync.RWMutex
+
+	mem map[string][]byte // a memory-only shard's values (dir == ""); no cap, no LRU
 
 	// Disk-tier accounting (dir != ""). disk maps every key known to be
 	// on disk to its LRU element; for an uncapped shard it fills lazily
@@ -43,8 +45,8 @@ type shard struct {
 	maxBytes  int64
 	diskBytes int64
 	disk      map[string]*list.Element
-	lru       *list.List      // front = most recently used; values are *diskEnt
-	writing   map[string]bool // keys with a value write in flight (dedup without holding mu across fsync)
+	lru       *list.List               // front = most recently used; values are *diskEnt
+	writing   map[string]chan struct{} // keys with a value write in flight, closed when it ends (dedup without holding mu across fsync)
 
 	hits, misses, puts   uint64
 	diskWrites, putNoops uint64
@@ -62,6 +64,7 @@ type diskEnt struct {
 func (s *ShardedStore) openShard(i int, maxBytes int64) (*shard, error) {
 	sh := &shard{s: s}
 	if s.dir == "" {
+		sh.mem = map[string][]byte{}
 		return sh, nil
 	}
 	sh.dir = filepath.Join(s.dir, fmt.Sprintf("shard-%02x", i))
@@ -72,7 +75,7 @@ func (s *ShardedStore) openShard(i int, maxBytes int64) (*shard, error) {
 	sh.maxBytes = maxBytes
 	sh.disk = map[string]*list.Element{}
 	sh.lru = list.New()
-	sh.writing = map[string]bool{}
+	sh.writing = map[string]chan struct{}{}
 	if maxBytes > 0 {
 		return sh, sh.loadDiskTier()
 	}
@@ -177,31 +180,33 @@ func walkShard(dir string, pruneTmpAge time.Duration, fn func(key string, f os.D
 	return nil
 }
 
-// get reads the hot cache, then the disk tier.
+// get reads the shard's map, or its value file.
 func (sh *shard) get(key string) ([]byte, bool) {
-	if data, ok := sh.s.hot.get(key); ok {
+	if sh.dir == "" {
 		sh.mu.Lock()
-		sh.hits++
-		sh.touchLocked(key)
+		data, ok := sh.mem[key]
+		if ok {
+			sh.hits++
+		} else {
+			sh.misses++
+		}
 		sh.mu.Unlock()
-		return data, true
+		return data, ok
 	}
-	if sh.dir != "" && diskKey(key) {
+	if diskKey(key) {
 		if data, err := os.ReadFile(sh.path(key)); err == nil {
 			sh.mu.Lock()
 			sh.hits++
 			// The file was read without the lock. A capped shard tracks
 			// every file from its open-time scan on, so an untracked key
 			// there is one an eviction unlinked since the read: serve the
-			// bytes, but neither track nor cache the key, or the next Put
-			// would take it for durable and write nothing. An uncapped
-			// shard never evicts, and starts tracking a prior process's
-			// entry here.
+			// bytes, but do not track the key, or the next Put would take
+			// it for durable and write nothing. An uncapped shard never
+			// evicts, and starts tracking a prior process's entry here.
 			_, tracked := sh.disk[key]
 			keep := tracked || sh.maxBytes == 0
 			if keep {
 				sh.trackLocked(key, int64(len(data)))
-				sh.s.hot.put(key, data)
 			}
 			sh.mu.Unlock()
 			if keep && !tracked {
@@ -216,18 +221,32 @@ func (sh *shard) get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// put stores data in the hot cache and, for a disk-backed shard, writes
-// it once (see ShardedStore.Put).
+// put stores data in a memory-only shard's map or, for a disk-backed
+// shard, writes it once (see ShardedStore.Put). A disk shard refuses a
+// key that cannot name a value file: it has nowhere else to keep it.
 func (sh *shard) put(key string, data []byte) error {
-	sh.s.hot.put(key, data)
 	sh.mu.Lock()
 	sh.puts++
-	if sh.dir == "" || !diskKey(key) {
+	if sh.dir == "" {
+		sh.mem[key] = data
 		sh.mu.Unlock()
 		return nil
 	}
-	if _, ok := sh.disk[key]; ok || sh.writing[key] {
-		// Already durable (or another goroutine is making it so).
+	if !diskKey(key) {
+		sh.mu.Unlock()
+		return fmt.Errorf("campaign: store put: key %q cannot name a value file (want lowercase hex)", key)
+	}
+	// Another goroutine writing the same bytes: wait for it, so that this
+	// Put, too, returns only once the file exists, as no memory copy
+	// covers a Get in between. If that write failed, the key is not on
+	// disk below and this Put writes it.
+	for done, busy := sh.writing[key]; busy; done, busy = sh.writing[key] {
+		sh.mu.Unlock()
+		<-done
+		sh.mu.Lock()
+	}
+	if _, ok := sh.disk[key]; ok {
+		// Already durable.
 		sh.touchLocked(key)
 		sh.putNoops++
 		sh.mu.Unlock()
@@ -238,16 +257,17 @@ func (sh *shard) put(key string, data []byte) error {
 		// The value alone exceeds this tier's cap: banking it would
 		// evict every peer in the shard and the value would still have
 		// to go — a whole shard of cache destroyed for nothing. Refuse
-		// it up front (it stays in the hot cache for this process and
-		// recomputes like any evicted key); a *pinned* oversized value
-		// is banked regardless, holding the store over cap exactly as a
-		// pinned eviction survivor would (Occupancy/readyz report it).
+		// it up front (it recomputes like any evicted key); a *pinned*
+		// oversized value is banked regardless, holding the store over
+		// cap exactly as a pinned eviction survivor would
+		// (Occupancy/readyz report it).
 		sh.evictions++
 		sh.mu.Unlock()
 		cStoreEvictions.Add(1)
 		return nil
 	}
-	sh.writing[key] = true
+	done := make(chan struct{})
+	sh.writing[key] = done
 	sh.mu.Unlock()
 
 	p := sh.path(key)
@@ -265,12 +285,12 @@ func (sh *shard) put(key string, data []byte) error {
 	}
 	sh.mu.Lock()
 	delete(sh.writing, key)
-	var victims []string
+	close(done)
 	if werr == nil {
 		sh.trackLocked(key, size)
 		if wrote {
 			sh.diskWrites++
-			victims = sh.evictLocked()
+			sh.evictLocked()
 		} else {
 			sh.putNoops++
 		}
@@ -283,11 +303,6 @@ func (sh *shard) put(key string, data []byte) error {
 		cStoreDiskWrites.Inc()
 	} else {
 		cStorePutNoops.Inc()
-	}
-	// Evicted ⇒ the next Get recomputes, crisply: the hot cache must not
-	// keep serving a victim.
-	for _, victim := range victims {
-		sh.s.hot.drop(victim)
 	}
 	sh.publish()
 	return nil
@@ -318,19 +333,18 @@ func (sh *shard) touchLocked(key string) {
 }
 
 // evictLocked removes least-recently-used unpinned entries until the
-// disk tier fits its cap, returning the evicted keys (the caller drops
-// them from the hot cache outside the lock). Pinned entries are skipped
-// in place — a clock-style pass — so a store whose pinned bytes exceed
-// the cap simply stays over it (and reports so through Occupancy/readyz)
-// rather than evicting a snapshot a live campaign depends on. File
-// removal happens inside the lock-held walk but is a plain unlink (no
-// fsync); a concurrent Get racing the unlink either reads the full old
-// bytes or misses — both correct.
-func (sh *shard) evictLocked() []string {
+// disk tier fits its cap. Pinned entries are skipped in place — a
+// clock-style pass — so a store whose pinned bytes exceed the cap simply
+// stays over it (and reports so through Occupancy/readyz) rather than
+// evicting a snapshot a live campaign depends on. File removal happens
+// inside the lock-held walk but is a plain unlink (no fsync); a
+// concurrent Get racing the unlink either reads the full old bytes or
+// misses — both correct.
+func (sh *shard) evictLocked() {
 	if sh.maxBytes <= 0 || sh.diskBytes <= sh.maxBytes {
-		return nil
+		return
 	}
-	var victims []string
+	evicted := 0
 	for e := sh.lru.Back(); e != nil && sh.diskBytes > sh.maxBytes; {
 		ent := e.Value.(*diskEnt)
 		prev := e.Prev()
@@ -345,11 +359,10 @@ func (sh *shard) evictLocked() []string {
 		sh.s.diskBytes.Add(-ent.size)
 		sh.s.diskKeys.Add(-1)
 		sh.evictions++
-		victims = append(victims, ent.key)
+		evicted++
 		e = prev
 	}
-	cStoreEvictions.Add(uint64(len(victims)))
-	return victims
+	cStoreEvictions.Add(uint64(evicted))
 }
 
 // publish refreshes the shard's key-count gauge and the store-wide disk

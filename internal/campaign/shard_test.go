@@ -10,6 +10,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"astro/internal/hw"
+	"astro/internal/sim"
+	"astro/internal/workloads"
 )
 
 func testKey(i int) string {
@@ -172,10 +176,10 @@ func TestShardedStoreConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestShardedStoreMemoryOnly pins the Keys rule: Keys lists the durable
-// record. A memory-only store's record is its hot cache, so it lists a
-// key that cannot name a file; a disk store serves such a key from its
-// hot cache for the life of the process but lists only value files.
+// TestShardedStoreMemoryOnly pins the Keys rule: Keys lists the store's
+// record. A memory-only store's record is its shards' maps, so it keeps
+// and lists a key that cannot name a file; a disk store keeps no value in
+// memory, so it refuses such a key and lists only value files.
 func TestShardedStoreMemoryOnly(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -191,7 +195,17 @@ func TestShardedStoreMemoryOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range []string{testKey(1), "not-a-hex-key"} {
-				if err := s.Put(k, []byte("v:"+k)); err != nil {
+				err := s.Put(k, []byte("v:"+k))
+				if refused := tc.dir != "" && k == "not-a-hex-key"; refused {
+					if err == nil {
+						t.Fatalf("disk store accepted %q, which cannot name a file", k)
+					}
+					if _, ok := s.Get(k); ok {
+						t.Fatalf("disk store serves refused key %q", k)
+					}
+					continue
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 				if data, ok := s.Get(k); !ok || string(data) != "v:"+k {
@@ -202,52 +216,6 @@ func TestShardedStoreMemoryOnly(t *testing.T) {
 				t.Fatalf("Len/Keys = %d/%q, want %q", s.Len(), keys, tc.keys)
 			}
 		})
-	}
-}
-
-// TestStoreHotOnlyCap: a hot-cache cap without a disk cap bounds memory
-// and nothing else. The store opens without scanning its directory (no
-// disk key is tracked until Get or Put reaches it), keeps the hot cache
-// under its cap across Puts and Gets, and Keys still lists every file.
-// An unbounded store reports its hot bytes too.
-func TestStoreHotOnlyCap(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewShardedStore(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.Put(testKey(i), valFor(i, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if occ := s.Occupancy(); occ.HotBytes != 1000 || occ.HotCapBytes != 0 {
-		t.Fatalf("unbounded store: hot %d bytes, cap %d; want 1000, 0", occ.HotBytes, occ.HotCapBytes)
-	}
-
-	const hot = 250
-	s2, err := NewShardedStoreWith(dir, 0, StoreConfig{HotBytes: hot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if occ := s2.Occupancy(); occ.DiskKeys != 0 || occ.HotCapBytes != hot || occ.CapBytes != 0 {
-		t.Fatalf("hot-only open: %+v, want no disk keys tracked, hot cap %d, no disk cap", occ, hot)
-	}
-	for i := 0; i < 20; i++ {
-		if i >= 10 {
-			if err := s2.Put(testKey(i), valFor(i, 100)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, ok := s2.Get(testKey(i)); !ok || !bytes.Equal(got, valFor(i, 100)) {
-			t.Fatalf("key %d unreadable (ok=%v)", i, ok)
-		}
-		if occ := s2.Occupancy(); occ.HotBytes > hot {
-			t.Fatalf("after key %d: hot cache holds %d bytes over its %d cap", i, occ.HotBytes, hot)
-		}
-	}
-	if keys, files := s2.Keys(), filesOf(t, dir); len(keys) != 20 || len(files) != 20 {
-		t.Fatalf("Keys lists %d keys over %d files, want 20", len(keys), len(files))
 	}
 }
 
@@ -419,5 +387,79 @@ func TestStoreReadsLegacyDirectory(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// benchStoreValue is the canonical result of matrixmul at its small scale
+// with default options (about 3.4 KB), the value the result codec's rungs
+// measure too.
+func benchStoreValue(b *testing.B) []byte {
+	b.Helper()
+	spec, ok := workloads.ByName("matrixmul")
+	if !ok {
+		b.Fatal("matrixmul not registered")
+	}
+	mod, err := spec.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := sim.New(mod, hw.OdroidXU4(), sim.Options{Seed: 1, Args: spec.SmallArgs()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := sim.EncodeResult(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return data
+}
+
+// BenchmarkStorePut banks one fresh key per op into a disk store, so each
+// op pays the temp file, its fsync, the rename and the directory fsync.
+// Recorded, not gated.
+func BenchmarkStorePut(b *testing.B) {
+	data := benchStoreValue(b)
+	s, err := NewShardedStore(b.TempDir(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if err := s.Put(testKey(i), data); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
+// BenchmarkStoreGet reads one banked key per op from a reopened disk
+// store: a value-file read, as a disk store keeps no value in memory.
+// Recorded, not gated.
+func BenchmarkStoreGet(b *testing.B) {
+	data := benchStoreValue(b)
+	dir := b.TempDir()
+	s, err := NewShardedStore(dir, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := testKey(0)
+	if err := s.Put(key, data); err != nil {
+		b.Fatal(err)
+	}
+	if s, err = NewShardedStore(dir, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := s.Get(key); !ok {
+			b.Fatal("banked key missed")
+		}
 	}
 }

@@ -80,9 +80,9 @@ func TestBoundedStoreSoak(t *testing.T) {
 	cap := workingSet / 3 // well below the 300-cell working set
 
 	// Leg B: the bounded store. 8 shards so eviction pressure exercises
-	// the per-shard caps; a hot cache at half the disk cap.
+	// the per-shard caps.
 	dir := t.TempDir()
-	store, err := campaign.NewShardedStoreWith(dir, 8, campaign.StoreConfig{MaxBytes: cap, HotBytes: cap / 2})
+	store, err := campaign.NewShardedStoreWith(dir, 8, campaign.StoreConfig{MaxBytes: cap})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,12 @@ import (
 )
 
 // ShardedStore is the content-addressed result store: canonical result
-// bytes keyed by job content hash. Reads hit a memory tier first, then
-// (when the store was opened with a directory) an on-disk tier, which is
-// what makes a warm re-run of a campaign across process restarts perform
-// zero fresh simulations. Without a directory the store is memory-only
-// (NewMemStore).
+// bytes keyed by job content hash. Opened with a directory, it keeps every
+// value in a file and no value bytes in memory: a Get reads the file, which
+// is what makes a warm re-run of a campaign across process restarts
+// perform zero fresh simulations. Without a directory the store is
+// memory-only (NewMemStore): each shard keeps its values in a plain map,
+// with no cap and no LRU.
 //
 // Keys partition into power-of-two shards selected by key prefix:
 // shard(key) = first 8 bits of the (hex) key, masked to the shard count.
@@ -46,16 +47,14 @@ import (
 // entries but no INDEX.json is refused — a cache written before the single
 // layout, or a mistyped -cache — instead of being opened as an empty store.
 //
-// One hot cache (the memory tier) and one pin ledger are shared by every
-// shard — see bounded.go. Opened with NewShardedStoreWith and a
-// StoreConfig, the store is bounded: the MaxBytes cap splits evenly
-// across shards (uniform keys keep the split fair), each shard evicts
-// LRU-unpinned entries independently under its own lock, and the hot
-// cache holds at most HotBytes.
+// One pin ledger is shared by every shard — see bounded.go. Opened with
+// NewShardedStoreWith and a StoreConfig, the store is bounded: the
+// MaxBytes cap splits evenly across shards (uniform keys keep the split
+// fair), and each shard evicts LRU-unpinned entries independently under
+// its own lock.
 type ShardedStore struct {
 	dir    string
 	mask   uint8
-	hot    *hotCache  // the memory tier, shared by all shards; unbounded at a zero cap
 	pins   *PinLedger // shared by all shards: a pin protects a key wherever it lands
 	shards []*shard
 
@@ -102,23 +101,23 @@ func OpenStore(dir string) (*ShardedStore, error) {
 	return NewShardedStore(dir, 0)
 }
 
-// NewShardedStoreWith is NewShardedStore with byte caps (see StoreConfig):
-// the disk cap splits evenly across shards, the hot cache and the pin
-// ledger are shared by all of them. Caps require a disk tier: a
-// memory-only store's hot cache is authoritative storage, and evicting
-// from it would lose results rather than spill them.
+// NewShardedStoreWith is NewShardedStore with a byte cap (see
+// StoreConfig): the disk cap splits evenly across shards, and the pin
+// ledger is shared by all of them. A cap requires a disk tier: a
+// memory-only store's map is authoritative storage, and evicting from it
+// would lose results rather than spill them.
 func NewShardedStoreWith(dir string, shards int, cfg StoreConfig) (*ShardedStore, error) {
-	if cfg.MaxBytes < 0 || cfg.HotBytes < 0 {
-		return nil, fmt.Errorf("campaign: store caps must not be negative (max %d, hot %d bytes)", cfg.MaxBytes, cfg.HotBytes)
+	if cfg.MaxBytes < 0 {
+		return nil, fmt.Errorf("campaign: store cap must not be negative (max %d bytes)", cfg.MaxBytes)
 	}
-	if dir == "" && cfg.effHotBytes() > 0 {
+	if dir == "" && cfg.MaxBytes > 0 {
 		return nil, fmt.Errorf("campaign: store caps need a disk tier (-cache); a memory-only store cannot evict without losing results")
 	}
 	n, err := openLayout(dir, shards)
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedStore{dir: dir, mask: uint8(n - 1), hot: newHotCache(cfg.effHotBytes()), pins: NewPinLedger(), shards: make([]*shard, n)}
+	s := &ShardedStore{dir: dir, mask: uint8(n - 1), pins: NewPinLedger(), shards: make([]*shard, n)}
 	shardCap := cfg.MaxBytes / int64(n)
 	if cfg.MaxBytes > 0 && shardCap == 0 {
 		shardCap = 1 // a cap below one byte per shard still bounds, never unbounds
@@ -200,8 +199,8 @@ func (s *ShardedStore) shard(key string) *shard {
 	return s.shards[uint8(b)&s.mask]
 }
 
-// Get returns the stored canonical bytes for key, if present in the
-// memory tier or on disk.
+// Get returns the stored canonical bytes for key, if present: from a
+// memory-only store's map, or by reading the key's value file.
 func (s *ShardedStore) Get(key string) ([]byte, bool) {
 	start := time.Now()
 	defer func() { hStoreGet.Observe(time.Since(start).Seconds()) }()
@@ -214,15 +213,16 @@ func (s *ShardedStore) Get(key string) ([]byte, bool) {
 	return data, ok
 }
 
-// Put stores canonical result bytes under key in memory and, when the
-// store has a directory, on disk. The disk write (writeFileAtomic) is
-// crash-safe: the bytes are written to a temporary file which is fsynced
-// *before* the atomic rename, and the containing directory is fsynced
-// after, so a killed or power-cut run can never leave a visible-but-
-// truncated entry. (Rename-without-fsync can be reordered by the
-// filesystem so the name appears before the data blocks; a truncated-but-
-// parseable JSON prefix would then poison warm-cache determinism, which
-// trusts stored bytes as canonical.)
+// Put stores canonical result bytes under key: in memory for a
+// memory-only store, and otherwise only on disk, which refuses a key that
+// is not lowercase hex (it cannot name a file). The disk write
+// (writeFileAtomic) is crash-safe: the bytes are written to a temporary
+// file which is fsynced *before* the atomic rename, and the containing
+// directory is fsynced after, so a killed or power-cut run can never
+// leave a visible-but-truncated entry. (Rename-without-fsync can be
+// reordered by the filesystem so the name appears before the data blocks;
+// a truncated-but-parseable JSON prefix would then poison warm-cache
+// determinism, which trusts stored bytes as canonical.)
 //
 // A Put of a key already on disk is a no-op on the disk tier: the store
 // is content-addressed, so same key ⇒ same bytes, and rewriting them
@@ -242,7 +242,7 @@ func (s *ShardedStore) Pin(key string)   { s.pins.Pin(key) }
 func (s *ShardedStore) Unpin(key string) { s.pins.Unpin(key) }
 
 // Occupancy sums the per-shard disk accounting (Occupant interface). The
-// hot cache and the pin ledger are shared, so they are read once.
+// pin ledger is shared, so it is read once.
 func (s *ShardedStore) Occupancy() Occupancy {
 	var occ Occupancy
 	for _, sh := range s.shards {
@@ -264,28 +264,28 @@ func (s *ShardedStore) Occupancy() Occupancy {
 		}
 		sh.mu.RUnlock()
 	}
-	occ.HotBytes = s.hot.size()
-	occ.HotCapBytes = s.hot.max
 	return occ
 }
 
 // Len returns len(Keys()).
 func (s *ShardedStore) Len() int { return len(s.Keys()) }
 
-// Keys returns, sorted, the store's durable record. For a disk store that
-// is the value files under each shard directory that route to that shard
-// — so a reopened store lists what any earlier process banked, and a key
-// held only in the hot cache is not listed. The walk sweeps temp files
-// older than a minute, a failed write's leftovers. For a memory-only
-// store it is the hot cache's entries.
+// Keys returns, sorted, the store's record. For a disk store that is the
+// value files under each shard directory that route to that shard — so a
+// reopened store lists what any earlier process banked. The walk sweeps
+// temp files older than a minute, a failed write's leftovers. For a
+// memory-only store it is the keys of the shards' maps.
 func (s *ShardedStore) Keys() []string {
-	if s.dir == "" {
-		keys := s.hot.keys()
-		sort.Strings(keys)
-		return keys
-	}
 	var keys []string
 	for _, sh := range s.shards {
+		if s.dir == "" {
+			sh.mu.RLock()
+			for key := range sh.mem {
+				keys = append(keys, key)
+			}
+			sh.mu.RUnlock()
+			continue
+		}
 		// Keys reports no error: a shard directory it cannot list
 		// contributes no keys.
 		_ = walkShard(sh.dir, time.Minute, func(key string, _ os.DirEntry) {

@@ -50,7 +50,7 @@ const (
 	EvEnqueue    = "enqueue"    // fresh cell registered (key, kind, campaign)
 	EvLease      = "lease"      // cell leased to a worker (key, worker, attempt)
 	EvRenew      = "renew"      // heartbeat renewed N held leases (worker, n)
-	EvComplete   = "complete"   // validated result accepted, cell done (key, worker, kind)
+	EvComplete   = "complete"   // validated result accepted, cell done (key, worker, kind; cause "unbanked: <err>" when the store refused the bytes)
 	EvError      = "error"      // worker reported an execution failure (key, worker; cause held|stale)
 	EvReject     = "reject"     // submission failed validation (key, worker; cause held|stale)
 	EvDuplicate  = "duplicate"  // submission for an already-done cell (key, worker)

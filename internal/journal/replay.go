@@ -50,14 +50,16 @@ type State struct {
 
 	Workers map[string]*WorkerState `json:"workers,omitempty"`
 
-	completed map[string]bool // keys that completed successfully
+	completed map[string]bool // keys that completed successfully and were banked
 	banked    map[string]bool // untracked keys whose bytes were banked
 	pending   map[string]bool // live pending keys at end of log
 	leased    map[string]string
 }
 
-// CompletedKeys returns every key the journal says completed successfully,
-// sorted. These are the keys the store audit checks: each must be banked.
+// CompletedKeys returns every key the journal says completed successfully
+// and banked, sorted. These are the keys the store audit checks: each must
+// be in the store. A completion whose Put the store refused is counted in
+// Completes but not listed here.
 func (s *State) CompletedKeys() []string {
 	keys := make([]string, 0, len(s.completed))
 	for k := range s.completed {
@@ -139,7 +141,9 @@ func Replay(events []Event) *State {
 			s.Done++
 			worker(ev.Worker).Completed++
 			resolve(ev.Key)
-			s.completed[ev.Key] = true
+			if ev.Cause == "" { // a cause means the store refused the bytes
+				s.completed[ev.Key] = true
+			}
 		case EvError:
 			worker(ev.Worker).Errors++
 		case EvReject:

@@ -11,14 +11,14 @@ package sim
 //
 //	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine|BenchmarkMachineRun|BenchmarkHierarchyAccess|BenchmarkEncodeResult|BenchmarkDecodeResult|BenchmarkCompileModule' -benchmem -benchtime 0.3s -count 3 ./internal/sim/ ./internal/cache/
 //	 go test -run '^$' -bench 'BenchmarkObserve' -benchmem -benchtime 0.3s -count 3 ./internal/rl/
-//	 go test -run '^$' -bench 'BenchmarkWireJobDecode' -benchmem -benchtime 0.3s -count 3 ./internal/campaign/
+//	 go test -run '^$' -bench 'BenchmarkWireJobDecode|BenchmarkStorePut|BenchmarkStoreGet' -benchmem -benchtime 0.3s -count 3 ./internal/campaign/
 //	 go test -run '^$' -bench '^BenchmarkCompile(Grid)?$' -benchmem -benchtime 0.3s -count 3 . ./internal/scenario/) \
-//	  | go run ./cmd/astro-bench -o BENCH_23.json -prev BENCH_22.json -max-regress 15
+//	  | go run ./cmd/astro-bench -o BENCH_24.json -prev BENCH_23.json -max-regress 15
 //
 // Only the Minstr/s metrics gate. The result codec's rungs
 // (BenchmarkEncodeResult, BenchmarkDecodeResult, in codec_test.go),
-// BenchmarkCompileModule, BenchmarkMachineRun, the front end's and the
-// worker decode's rungs are recorded but not gated.
+// BenchmarkCompileModule, BenchmarkMachineRun, the front end's, the
+// worker decode's and the result store's rungs are recorded but not gated.
 
 import (
 	"fmt"
