@@ -34,14 +34,14 @@ type StoreConfig struct {
 // /metrics gauges, the /readyz pressure probe, and the soak test's
 // under-the-cap assertion all read.
 type Occupancy struct {
-	DiskBytes   int64  `json:"disk_bytes"`          // value bytes currently on disk
+	DiskBytes   int64  `json:"disk_bytes"`          // value bytes on disk (capped stores only)
 	CapBytes    int64  `json:"cap_bytes,omitempty"` // configured MaxBytes (summed over shards); 0 = unbounded
-	DiskKeys    int    `json:"disk_keys"`           // distinct keys on disk
-	PinnedKeys  int    `json:"pinned_keys"`         // keys currently pinned (refcount > 0)
-	PinnedBytes int64  `json:"pinned_bytes"`        // on-disk bytes held by pinned keys
+	DiskKeys    int    `json:"disk_keys"`           // distinct keys on disk (capped stores only)
+	PinnedKeys  int    `json:"pinned_keys"`         // pinned keys on disk (capped stores only)
+	PinnedBytes int64  `json:"pinned_bytes"`        // on-disk bytes held by pinned keys (capped stores only)
 	DiskWrites  uint64 `json:"disk_writes"`         // value files written (one per unique key)
 	PutNoops    uint64 `json:"put_noops"`           // Puts of already-stored keys skipped without a write
-	Evictions   uint64 `json:"evictions"`           // disk-tier entries evicted
+	Evictions   uint64 `json:"evictions"`           // disk-tier entries evicted, and oversized Puts refused
 }
 
 // Occupant is implemented by stores that account their disk tier;
@@ -53,7 +53,8 @@ type Occupant interface {
 
 // PinStore is the pinning seam: the WorkQueue pins a hybrid cell's
 // trained-agent snapshot key on enqueue and unpins it when the cell
-// finishes or is cancelled. Pins are refcounts — two campaigns sharing
+// finishes or is cancelled; experiments.Fig10 pins its agents across
+// training and sampling. Pins are refcounts — two campaigns sharing
 // an agent pin it twice, and it stays protected until both let go.
 // Pinning a key the store does not (yet) hold is legal: the pin applies
 // the moment the bytes arrive.

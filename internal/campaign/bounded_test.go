@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -130,6 +131,46 @@ func TestStorePutWaitsForInFlightWrite(t *testing.T) {
 	}
 }
 
+// TestUncappedStoreKeepsNoKeyIndex: an uncapped disk shard's value files
+// are its only record. Reopened over keys an earlier process banked, it
+// takes Puts of those and of fresh keys, and Gets of all of them, and no
+// shard then holds an index entry or a write in flight; the occupancy
+// figures that read the index stay 0 while the write counters count.
+func TestUncappedStoreKeepsNoKeyIndex(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewShardedStore(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const banked, keys = 100, 300
+	for i := 0; i < banked; i++ {
+		if err := s.Put(testKey(i), valFor(i, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, err = NewShardedStore(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		if err := s.Put(testKey(i), valFor(i, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(testKey(i)); !ok || !bytes.Equal(got, valFor(i, 64)) {
+			t.Fatalf("key %d: Get after Put missed or differs (ok=%v)", i, ok)
+		}
+	}
+	for i, sh := range s.shards {
+		if len(sh.disk) != 0 || sh.lru != nil || sh.diskBytes != 0 || len(sh.writing) != 0 {
+			t.Fatalf("shard %d holds per-key state: %d indexed keys (%d bytes), lru %v, %d writes in flight",
+				i, len(sh.disk), sh.diskBytes, sh.lru != nil, len(sh.writing))
+		}
+	}
+	occ := s.Occupancy()
+	if occ.DiskKeys != 0 || occ.DiskBytes != 0 || occ.DiskWrites != keys-banked || occ.PutNoops != banked {
+		t.Fatalf("occupancy %+v, want 0 keys/0 bytes indexed, %d writes, %d no-ops", occ, keys-banked, banked)
+	}
+}
+
 // TestStoreCapRequiresDisk: a byte cap on a memory-only store would evict
 // authoritative bytes, and a negative cap would silently mean unbounded;
 // the constructor must refuse both.
@@ -192,7 +233,8 @@ func TestBoundedStorePinnedNeverEvicted(t *testing.T) {
 // the tier's whole cap cannot fit even with every peer evicted, so
 // banking it would destroy the shard's cache for nothing. The store must
 // refuse it up front — peers untouched, the refusal counted as an
-// eviction (the key recomputes like any evicted one) — unless the key is
+// eviction (the key recomputes like any evicted one) and returned as an
+// error naming the cap, since a Get after it misses — unless the key is
 // pinned, in which case it is banked regardless and holds the store over
 // cap exactly like a pinned eviction survivor.
 func TestBoundedStoreOversizedValueDoesNotWipeShard(t *testing.T) {
@@ -207,8 +249,8 @@ func TestBoundedStoreOversizedValueDoesNotWipeShard(t *testing.T) {
 		}
 	}
 	big := testKey(100)
-	if err := s.Put(big, valFor(100, 2048)); err != nil {
-		t.Fatal(err)
+	if err := s.Put(big, valFor(100, 2048)); err == nil || !strings.Contains(err.Error(), "1024-byte cap") {
+		t.Fatalf("oversized put returned %v, want an error naming the 1024-byte cap", err)
 	}
 	occ := s.Occupancy()
 	if occ.DiskKeys != 3 || occ.DiskBytes != 768 {
@@ -365,7 +407,7 @@ func TestShardedBoundedProperty(t *testing.T) {
 //     are the only outcomes, and an uncapped store never misses a key
 //     ever Put;
 //   - a pinned key, once on disk, stays there until its last unpin;
-//   - the store's byte accounting equals the bytes actually on disk;
+//   - a capped store's byte accounting equals the bytes actually on disk;
 //   - a shard sits over its cap only when every entry left in it was
 //     pinned (eviction skips pins and may evict nothing else);
 //   - Keys() enumerates precisely the keys whose files are live, at any
@@ -433,10 +475,13 @@ func runBoundedProperty(t *testing.T, seed int64, shards, universe, steps int, c
 	if occ.CapBytes != cfg.MaxBytes {
 		t.Fatalf("summed shard caps = %d, want %d", occ.CapBytes, cfg.MaxBytes)
 	}
-	bytesOnDisk, keysOnDisk := diskBytesOf(t, dir)
-	if occ.DiskBytes != bytesOnDisk || occ.DiskKeys != keysOnDisk {
-		t.Fatalf("accounting diverged: store says %d bytes/%d keys, disk holds %d/%d",
-			occ.DiskBytes, occ.DiskKeys, bytesOnDisk, keysOnDisk)
+	// Only a capped store keeps the key index this accounting reads.
+	if cfg.MaxBytes > 0 {
+		bytesOnDisk, keysOnDisk := diskBytesOf(t, dir)
+		if occ.DiskBytes != bytesOnDisk || occ.DiskKeys != keysOnDisk {
+			t.Fatalf("accounting diverged: store says %d bytes/%d keys, disk holds %d/%d",
+				occ.DiskBytes, occ.DiskKeys, bytesOnDisk, keysOnDisk)
+		}
 	}
 	for i, sh := range s.shards {
 		if sh.maxBytes == 0 || sh.diskBytes <= sh.maxBytes {

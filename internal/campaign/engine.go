@@ -50,7 +50,10 @@ type Status struct {
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
 }
 
-// Campaign is one submitted spec moving through the engine.
+// Campaign is one submitted spec moving through the engine. A finished
+// campaign keeps its ResultSet and its event log, not its outcomes: the
+// result bytes live in the store, and their digest in the result set's
+// fingerprint.
 type Campaign struct {
 	ID   string
 	Spec Spec
@@ -69,7 +72,6 @@ type Campaign struct {
 	events    []Event
 	subs      map[int]chan Event
 	nextSub   int
-	outcomes  []*Outcome
 	results   *ResultSet
 	cancel    context.CancelFunc
 }
@@ -164,6 +166,9 @@ func CampaignIDFromContext(ctx context.Context) string {
 	return id
 }
 
+// run executes c's jobs on the engine's runner, publishing one progress
+// event per finished cell, then folds the outcomes into c's ResultSet and
+// lets them go.
 func (e *Engine) run(ctx context.Context, c *Campaign, jobs []*Job) {
 	outs, err := e.runner.Run(ctx, jobs, func(p Progress) {
 		c.mu.Lock()
@@ -183,16 +188,7 @@ func (e *Engine) run(ctx context.Context, c *Campaign, jobs []*Job) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.outcomes = outs
 	c.results = Aggregate(c.Spec.Name, outs)
-	// The canonical result bytes live in the store (and their digest in the
-	// result set's fingerprint); dropping them here keeps a long-running
-	// server's retained size proportional to summaries, not raw results.
-	for _, o := range outs {
-		if o != nil {
-			o.Bytes = nil
-		}
-	}
 	c.finished = time.Now()
 	switch {
 	case ctx.Err() != nil:
@@ -302,17 +298,6 @@ func (c *Campaign) Results() *ResultSet {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.results
-}
-
-// Outcomes returns the raw per-job outcomes once finished (nil while
-// running).
-func (c *Campaign) Outcomes() []*Outcome {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state == StateRunning {
-		return nil
-	}
-	return c.outcomes
 }
 
 // Subscribe returns a channel that replays the campaign's full event log

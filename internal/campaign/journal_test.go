@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,57 +137,76 @@ func TestQueueJournalReplayMatchesStats(t *testing.T) {
 // completed cell's bytes, the cell still completes — its waiters get the
 // bytes, and the replayed counters still equal the live ones — but the
 // EvComplete carries the refusal as its cause, and replay leaves the key
-// out of CompletedKeys, so the store audit does not expect it.
+// out of CompletedKeys, so the store audit does not expect it. A capped
+// store refuses a result larger than its shard's cap the same way.
 func TestQueueUnbankedCompletionJournaled(t *testing.T) {
-	dir := t.TempDir()
-	jw, err := journal.Open(dir, journal.Options{})
+	capped, err := NewShardedStoreWith(t.TempDir(), 1, StoreConfig{MaxBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jw.Close()
+	for _, tc := range []struct {
+		name  string
+		store ResultStore
+		cause string // the EvComplete cause must start with "unbanked: " and contain this
+	}{
+		{"refusing", refusingStore{}, "unbanked: store full"},
+		{"capped", capped, "512-byte cap"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jw, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jw.Close()
 
-	q := NewWorkQueue(time.Minute)
-	fakeClock(q)
-	q.Events = jw
-	q.Store = refusingStore{}
-	w := wireJobs(t, 1)[0]
-	got := make(chan []byte, 1)
-	q.Enqueue(w, func(data []byte, err error) {
-		if err != nil {
-			t.Errorf("waiter saw error: %v", err)
-		}
-		got <- data
-	})
-	if leased := q.Lease("w1", 1); len(leased) != 1 {
-		t.Fatalf("lease: %+v", leased)
-	}
-	want := validResult(t, w)
-	if st := q.Complete("w1", w.Key, want, ""); st != CompleteAccepted {
-		t.Fatalf("complete: %v", st)
-	}
-	if data := <-got; string(data) != string(want) {
-		t.Fatal("waiter did not get the submitted bytes")
-	}
+			q := NewWorkQueue(time.Minute)
+			fakeClock(q)
+			q.Events = jw
+			q.Store = tc.store
+			w := wireJobs(t, 1)[0]
+			got := make(chan []byte, 1)
+			q.Enqueue(w, func(data []byte, err error) {
+				if err != nil {
+					t.Errorf("waiter saw error: %v", err)
+				}
+				got <- data
+			})
+			if leased := q.Lease("w1", 1); len(leased) != 1 {
+				t.Fatalf("lease: %+v", leased)
+			}
+			want := validResult(t, w)
+			if st := q.Complete("w1", w.Key, want, ""); st != CompleteAccepted {
+				t.Fatalf("complete: %v", st)
+			}
+			if data := <-got; string(data) != string(want) {
+				t.Fatal("waiter did not get the submitted bytes")
+			}
+			if _, ok := tc.store.Get(w.Key); ok {
+				t.Fatal("the store serves a result it refused")
+			}
 
-	events, err := journal.ReadSince(dir, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var complete *journal.Event
-	for i := range events {
-		if events[i].Type == journal.EvComplete {
-			complete = &events[i]
-		}
-	}
-	if complete == nil || complete.Cause != "unbanked: store full" {
-		t.Fatalf("EvComplete = %+v, want cause %q", complete, "unbanked: store full")
-	}
-	rep := journal.Replay(events)
-	if live := q.Stats(); rep.Completes != 1 || rep.Done != live.Done || rep.Workers["w1"].Completed != 1 {
-		t.Fatalf("replay %+v does not count the completion (live done %d)", rep, live.Done)
-	}
-	if keys := rep.CompletedKeys(); len(keys) != 0 {
-		t.Fatalf("replay lists unbanked keys %v for the store audit", keys)
+			events, err := journal.ReadSince(dir, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var complete *journal.Event
+			for i := range events {
+				if events[i].Type == journal.EvComplete {
+					complete = &events[i]
+				}
+			}
+			if complete == nil || !strings.HasPrefix(complete.Cause, "unbanked: ") || !strings.Contains(complete.Cause, tc.cause) {
+				t.Fatalf("EvComplete = %+v, want an unbanked cause containing %q", complete, tc.cause)
+			}
+			rep := journal.Replay(events)
+			if live := q.Stats(); rep.Completes != 1 || rep.Done != live.Done || rep.Workers["w1"].Completed != 1 {
+				t.Fatalf("replay %+v does not count the completion (live done %d)", rep, live.Done)
+			}
+			if keys := rep.CompletedKeys(); len(keys) != 0 {
+				t.Fatalf("replay lists unbanked keys %v for the store audit", keys)
+			}
+		})
 	}
 }
 

@@ -23,8 +23,8 @@ var (
 	cStoreDiskWrites = telemetry.Default.Counter("astro_store_disk_writes_total", "Value files written to the disk tier (one per unique key).")
 	cStorePutNoops   = telemetry.Default.Counter("astro_store_put_noops_total", "Puts of already-stored keys skipped without a disk write.")
 	cStoreEvictions  = telemetry.Default.Counter("astro_store_evictions_total", "Disk-tier entries evicted to honour the byte cap.")
-	gStoreDiskBytes  = telemetry.Default.Gauge("astro_store_disk_bytes", "Value bytes resident in the disk tier.")
-	gStoreDiskKeys   = telemetry.Default.Gauge("astro_store_disk_keys", "Distinct keys resident in the disk tier.")
+	gStoreDiskBytes  = telemetry.Default.Gauge("astro_store_disk_bytes", "Value bytes resident in the disk tier (capped stores only).")
+	gStoreDiskKeys   = telemetry.Default.Gauge("astro_store_disk_keys", "Distinct keys resident in the disk tier (capped stores only).")
 	gStorePinnedKeys = telemetry.Default.Gauge("astro_store_pinned_keys", "Content keys currently pinned against eviction.")
 
 	// In-process pool economics.
@@ -81,5 +81,5 @@ var (
 func shardGauge(i int) *telemetry.Gauge {
 	return telemetry.Default.Gauge(
 		fmt.Sprintf(`astro_store_shard_keys{shard="%02x"}`, i),
-		"Distinct disk-tier keys this process tracks per shard.")
+		"Distinct disk-tier keys per shard (capped stores only).")
 }

@@ -21,9 +21,10 @@ import (
 // the two-character fan-out keeps directories small for
 // hundred-thousand-job campaigns.
 //
-// In a bounded store the disk tier holds at most maxBytes of value bytes,
-// evicting least-recently-used unpinned entries (the whole file — an
-// entry is always either fully present or absent). Eviction is safe by
+// Only a capped shard keeps a key index, for eviction and /readyz: its
+// disk tier holds at most maxBytes of value bytes, evicting
+// least-recently-used unpinned entries (the whole file — an entry is
+// always either fully present or absent). Eviction is safe by
 // construction: a content-addressed entry can only be absent (forcing a
 // recomputation that produces the identical bytes) or byte-for-byte
 // correct, never stale or torn (DESIGN.md invariant 11). Pinned keys —
@@ -32,21 +33,20 @@ import (
 type shard struct {
 	s     *ShardedStore    // owner: pin ledger, occupancy totals
 	dir   string           // "" = memory-only
-	gauge *telemetry.Gauge // disk-tier keys tracked in this shard; nil when memory-only
+	gauge *telemetry.Gauge // keys in this shard's index; nil when memory-only
 
 	mu sync.RWMutex
 
 	mem map[string][]byte // a memory-only shard's values (dir == ""); no cap, no LRU
 
-	// Disk-tier accounting (dir != ""). disk maps every key known to be
-	// on disk to its LRU element; for an uncapped shard it fills lazily
-	// (Put, Get disk hits, Stat probes), for a capped one it is seeded by
-	// a full scan at open so the cap holds across restarts.
+	writing map[string]chan struct{} // dir != "": keys with a value write in flight, closed when it ends (dedup without holding mu across fsync)
+
+	// A capped shard's key index, seeded by a scan at open so the cap
+	// holds across restarts; nil when uncapped.
 	maxBytes  int64
 	diskBytes int64
 	disk      map[string]*list.Element
-	lru       *list.List               // front = most recently used; values are *diskEnt
-	writing   map[string]chan struct{} // keys with a value write in flight, closed when it ends (dedup without holding mu across fsync)
+	lru       *list.List // front = most recently used; values are *diskEnt
 
 	hits, misses, puts   uint64
 	diskWrites, putNoops uint64
@@ -58,9 +58,9 @@ type diskEnt struct {
 	size int64
 }
 
-// openShard builds shard i. A capped shard scans its files (the cap must
-// hold over what a previous process wrote); an uncapped one does no
-// per-key work and discovers earlier entries as Get and Put reach them.
+// openShard builds shard i. A capped shard scans its files into its key
+// index (the cap must hold over what a previous process wrote); an
+// uncapped one does no per-key work.
 func (s *ShardedStore) openShard(i int, maxBytes int64) (*shard, error) {
 	sh := &shard{s: s}
 	if s.dir == "" {
@@ -72,14 +72,14 @@ func (s *ShardedStore) openShard(i int, maxBytes int64) (*shard, error) {
 		return nil, fmt.Errorf("campaign: store dir: %w", err)
 	}
 	sh.gauge = shardGauge(i)
+	sh.writing = map[string]chan struct{}{}
+	if maxBytes == 0 {
+		return sh, nil
+	}
 	sh.maxBytes = maxBytes
 	sh.disk = map[string]*list.Element{}
 	sh.lru = list.New()
-	sh.writing = map[string]chan struct{}{}
-	if maxBytes > 0 {
-		return sh, sh.loadDiskTier()
-	}
-	return sh, nil
+	return sh, sh.loadDiskTier()
 }
 
 func (sh *shard) path(key string) string {
@@ -101,7 +101,7 @@ func diskKey(key string) bool {
 	return true
 }
 
-// loadDiskTier seeds a capped shard's disk-tier accounting from the
+// loadDiskTier seeds a capped shard's key index from the
 // files already present, ordered oldest-modified first so the LRU starts
 // with a sensible cold end, and evicts down to the cap if the directory
 // arrives over it (a cap lowered between runs). Like Keys, the scan
@@ -197,21 +197,13 @@ func (sh *shard) get(key string) ([]byte, bool) {
 		if data, err := os.ReadFile(sh.path(key)); err == nil {
 			sh.mu.Lock()
 			sh.hits++
-			// The file was read without the lock. A capped shard tracks
-			// every file from its open-time scan on, so an untracked key
-			// there is one an eviction unlinked since the read: serve the
-			// bytes, but do not track the key, or the next Put would take
-			// it for durable and write nothing. An uncapped shard never
-			// evicts, and starts tracking a prior process's entry here.
-			_, tracked := sh.disk[key]
-			keep := tracked || sh.maxBytes == 0
-			if keep {
-				sh.trackLocked(key, int64(len(data)))
-			}
+			// The file was read without the lock. A capped shard indexes
+			// every file from its open-time scan on, so a key missing from
+			// its index here is one an eviction unlinked since the read:
+			// serve the bytes, but do not index the key, or the next Put
+			// would take it for durable and write nothing.
+			sh.touchLocked(key)
 			sh.mu.Unlock()
-			if keep && !tracked {
-				sh.publish()
-			}
 			return data, true
 		}
 	}
@@ -223,7 +215,8 @@ func (sh *shard) get(key string) ([]byte, bool) {
 
 // put stores data in a memory-only shard's map or, for a disk-backed
 // shard, writes it once (see ShardedStore.Put). A disk shard refuses a
-// key that cannot name a value file: it has nowhere else to keep it.
+// key that cannot name a value file: it has nowhere else to keep it. Only
+// a capped shard indexes what it writes.
 func (sh *shard) put(key string, data []byte) error {
 	sh.mu.Lock()
 	sh.puts++
@@ -246,7 +239,7 @@ func (sh *shard) put(key string, data []byte) error {
 		sh.mu.Lock()
 	}
 	if _, ok := sh.disk[key]; ok {
-		// Already durable.
+		// Indexed, so already durable.
 		sh.touchLocked(key)
 		sh.putNoops++
 		sh.mu.Unlock()
@@ -257,14 +250,14 @@ func (sh *shard) put(key string, data []byte) error {
 		// The value alone exceeds this tier's cap: banking it would
 		// evict every peer in the shard and the value would still have
 		// to go — a whole shard of cache destroyed for nothing. Refuse
-		// it up front (it recomputes like any evicted key); a *pinned*
-		// oversized value is banked regardless, holding the store over
-		// cap exactly as a pinned eviction survivor would
-		// (Occupancy/readyz report it).
+		// it up front (it recomputes like any evicted key), with an
+		// error, as a Get will miss; a *pinned* oversized value is
+		// banked regardless, holding the store over cap exactly as a
+		// pinned eviction survivor would (Occupancy/readyz report it).
 		sh.evictions++
 		sh.mu.Unlock()
 		cStoreEvictions.Add(1)
-		return nil
+		return fmt.Errorf("campaign: store put: a %d-byte value exceeds the shard's %d-byte cap", len(data), sh.maxBytes)
 	}
 	done := make(chan struct{})
 	sh.writing[key] = done
@@ -272,8 +265,9 @@ func (sh *shard) put(key string, data []byte) error {
 
 	p := sh.path(key)
 	size := int64(len(data))
-	// An unbounded store does not scan at open, so a prior process's
-	// entry surfaces here: one Stat instead of a rewrite.
+	// An uncapped shard keeps no index, so a key already on disk, whether
+	// this process or an earlier one wrote it, surfaces here: one Stat
+	// instead of a rewrite.
 	fi, werr := os.Stat(p)
 	wrote := werr != nil
 	if wrote {
@@ -287,12 +281,14 @@ func (sh *shard) put(key string, data []byte) error {
 	delete(sh.writing, key)
 	close(done)
 	if werr == nil {
-		sh.trackLocked(key, size)
 		if wrote {
 			sh.diskWrites++
-			sh.evictLocked()
 		} else {
 			sh.putNoops++
+		}
+		if sh.maxBytes > 0 {
+			sh.trackLocked(key, size)
+			sh.evictLocked()
 		}
 	}
 	sh.mu.Unlock()
@@ -308,8 +304,8 @@ func (sh *shard) put(key string, data []byte) error {
 	return nil
 }
 
-// trackLocked records key as on disk with the given size, moving it to
-// the hot end.
+// trackLocked records key in a capped shard's index with the given size,
+// moving it to the hot end.
 func (sh *shard) trackLocked(key string, size int64) {
 	if e, ok := sh.disk[key]; ok {
 		sh.lru.MoveToFront(e)
@@ -325,7 +321,7 @@ func (sh *shard) trackLocked(key string, size int64) {
 	sh.s.diskKeys.Add(1)
 }
 
-// touchLocked marks key most-recently-used.
+// touchLocked marks an indexed key most-recently-used.
 func (sh *shard) touchLocked(key string) {
 	if e, ok := sh.disk[key]; ok {
 		sh.lru.MoveToFront(e)
@@ -366,9 +362,10 @@ func (sh *shard) evictLocked() {
 }
 
 // publish refreshes the shard's key-count gauge and the store-wide disk
-// occupancy gauges. Memory-only shards publish nothing.
+// occupancy gauges from a capped shard's key index. Other shards publish
+// nothing, so an uncapped store's gauges stay 0.
 func (sh *shard) publish() {
-	if sh.gauge == nil {
+	if sh.maxBytes == 0 {
 		return
 	}
 	sh.mu.RLock()

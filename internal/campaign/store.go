@@ -38,8 +38,10 @@ import (
 //	shard-01/…                  …
 //
 // The value files are the one record of what the store holds: Get finds
-// a key by its path, and Keys walks the shard directories. A keys.idx
-// left by an older store is ignored: never read, written or removed.
+// a key by its path, and Keys walks the shard directories. Only a capped
+// store also keeps a key index in memory, for eviction and /readyz. A
+// keys.idx left by an older store is ignored: never read, written or
+// removed.
 //
 // The shard count is part of the layout: reopening a directory with a
 // different non-zero count is an error rather than a silent cache miss on
@@ -58,7 +60,7 @@ type ShardedStore struct {
 	pins   *PinLedger // shared by all shards: a pin protects a key wherever it lands
 	shards []*shard
 
-	// Disk-tier occupancy summed over shards, behind the store-wide gauges.
+	// Capped shards' indexed occupancy summed, behind the store-wide gauges.
 	diskBytes, diskKeys atomic.Int64
 }
 
@@ -215,7 +217,8 @@ func (s *ShardedStore) Get(key string) ([]byte, bool) {
 
 // Put stores canonical result bytes under key: in memory for a
 // memory-only store, and otherwise only on disk, which refuses a key that
-// is not lowercase hex (it cannot name a file). The disk write
+// is not lowercase hex (it cannot name a file), and a capped store refuses
+// an unpinned value larger than its shard's cap. The disk write
 // (writeFileAtomic) is crash-safe: the bytes are written to a temporary
 // file which is fsynced *before* the atomic rename, and the containing
 // directory is fsynced after, so a killed or power-cut run can never
@@ -242,7 +245,8 @@ func (s *ShardedStore) Pin(key string)   { s.pins.Pin(key) }
 func (s *ShardedStore) Unpin(key string) { s.pins.Unpin(key) }
 
 // Occupancy sums the per-shard disk accounting (Occupant interface). The
-// pin ledger is shared, so it is read once.
+// pin ledger is shared, so it is read once. An uncapped store keeps no
+// key index, so its byte, key and pinned figures read 0.
 func (s *ShardedStore) Occupancy() Occupancy {
 	var occ Occupancy
 	for _, sh := range s.shards {

@@ -73,7 +73,9 @@ const (
 //     wireable to remote workers. Training banks that snapshot in the
 //     shared store; a store that did not keep it (a failed write, an
 //     eviction) fails the hybrid cells with "no trained-agent snapshot
-//     under <key>" rather than running them some other way.
+//     under <key>" rather than running them some other way. So when the
+//     store takes pins (a capped store evicts), the agents' keys are
+//     pinned from before training until the samples finish.
 func Fig10(sc Scale) (*Fig10Result, error) {
 	n := samplesFor(sc)
 	plat := hw.OdroidXU4()
@@ -81,6 +83,7 @@ func Fig10(sc Scale) (*Fig10Result, error) {
 
 	arts := make([]*learningArtifacts, len(fig10Benchmarks))
 	specs := make([]*campaign.TrainSpec, len(fig10Benchmarks))
+	agentKeys := make([]string, len(fig10Benchmarks))
 	for i, name := range fig10Benchmarks {
 		art, err := prepare(name)
 		if err != nil {
@@ -102,6 +105,22 @@ func Fig10(sc Scale) (*Fig10Result, error) {
 			Args:     argsFor(sc, art.spec),
 			Opts:     base,
 		}
+		if agentKeys[i], err = specs[i].Key(); err != nil {
+			return nil, fmt.Errorf("fig10: %s: %w", name, err)
+		}
+	}
+	// Training itself can evict an earlier agent's snapshot from a capped
+	// store, so a pin at enqueue would come too late. A pin on a key the
+	// store does not hold yet applies when the bytes arrive.
+	if ps, ok := Store().(campaign.PinStore); ok {
+		for _, key := range agentKeys {
+			ps.Pin(key)
+		}
+		defer func() {
+			for _, key := range agentKeys {
+				ps.Unpin(key)
+			}
+		}()
 	}
 	trained, err := trainBatch(specs)
 	if err != nil {
@@ -125,10 +144,6 @@ func Fig10(sc Scale) (*Fig10Result, error) {
 		// content key — the executing process (this one, or a remote worker
 		// that leased the cell) restores the snapshot and rebuilds the
 		// hybrid runtime from it, bit-identically.
-		agentKey, err := specs[i].Key()
-		if err != nil {
-			return nil, fmt.Errorf("fig10: %s: %w", name, err)
-		}
 		starts[i] = len(jobs)
 		addJobs := func(kind string, mod *ir.Module, hybrid bool) {
 			for s := 0; s < n; s++ {
@@ -143,7 +158,7 @@ func Fig10(sc Scale) (*Fig10Result, error) {
 					Opts:      simOpts(sc, 0),
 				}
 				if hybrid {
-					j.AgentKey = agentKey
+					j.AgentKey = agentKeys[i]
 					j.Agents = Store()
 				}
 				jobs = append(jobs, j)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"astro/internal/campaign"
 	"astro/internal/stats"
 )
 
@@ -66,6 +67,23 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("device study is slow")
 	}
+	// On a capped disk store, smaller than the seven trained agents'
+	// snapshots together: Fig10's pins must keep every snapshot from its
+	// training until the hybrid samples have read it.
+	store, err := campaign.NewShardedStoreWith(t.TempDir(), 0, campaign.StoreConfig{MaxBytes: 300000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	execMu.Lock()
+	prevStore, prevRunner, prevCustom := execStore, execRunner, execCustom
+	execStore, execRunner, execCustom = store, &campaign.Pool{Workers: execWorkers, Store: store}, false
+	execMu.Unlock()
+	t.Cleanup(func() {
+		execMu.Lock()
+		execStore, execRunner, execCustom = prevStore, prevRunner, prevCustom
+		execMu.Unlock()
+	})
+
 	r, err := Fig10(Small)
 	if err != nil {
 		t.Fatal(err)
