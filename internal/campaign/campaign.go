@@ -47,6 +47,7 @@ import (
 
 	"astro/internal/hw"
 	"astro/internal/ir"
+	"astro/internal/rl"
 	"astro/internal/sched"
 	"astro/internal/sim"
 )
@@ -298,12 +299,15 @@ func (j *Job) Execute() (*sim.Result, error) {
 }
 
 // hybridFromAgent rebuilds the hybrid policy named by AgentKey: fetch the
-// trained-agent snapshot from the Agents store, restore the agent, extract
-// the visited-state static policy, and wrap both in a HybridRuntime —
-// exactly the construction the fig10 driver performs in-process. Every
-// input is inside the snapshot (inference-exact parameters plus the
-// visited states), so the policy this returns is bit-identical wherever it
-// is rebuilt; that is what lets agent-keyed jobs cross the wire.
+// trained-agent snapshot from the Agents store, take the restored agent
+// and its visited-state static policy from the process's memo (see
+// restoreShared; a miss restores and extracts them), and wrap both in a
+// HybridRuntime of the cell's own — exactly the construction the fig10
+// driver performs in-process. Every input is inside the snapshot
+// (inference-exact parameters plus the visited states), so the policy
+// this returns is bit-identical wherever it is rebuilt; that is what lets
+// agent-keyed jobs cross the wire. The cell shares the agent's weights
+// and the policy read-only and owns only its inference scratch.
 func (j *Job) hybridFromAgent(plat *hw.Platform) (sim.HybridPolicy, error) {
 	if j.Agents == nil {
 		return nil, fmt.Errorf("campaign: job %d (%s): agent-keyed hybrid needs an Agents store", j.Index, j.Label)
@@ -312,11 +316,15 @@ func (j *Job) hybridFromAgent(plat *hw.Platform) (sim.HybridPolicy, error) {
 	if !ok {
 		return nil, fmt.Errorf("campaign: job %d (%s): no trained-agent snapshot under %s", j.Index, j.Label, j.AgentKey)
 	}
-	tr, err := restoreTrained(data)
+	ra, err := restoreShared(data, j.platformName(), plat)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: job %d (%s): snapshot %s: %w", j.Index, j.Label, j.AgentKey, err)
 	}
-	hr := sched.NewHybridRuntime(tr.Agent, plat)
-	hr.Policy = sched.ExtractPolicyVisited(tr.Agent, plat, tr.Visits)
+	agent := ra.agent
+	if d, ok := agent.(*rl.DQN); ok {
+		agent = d.Inference() // Best and Q write the network's activations
+	}
+	hr := sched.NewHybridRuntime(agent, plat)
+	hr.Policy = ra.policy
 	return hr, nil
 }

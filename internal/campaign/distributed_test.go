@@ -32,7 +32,7 @@ type fig10Cell struct {
 
 // fig10StyleCells builds the paper-shaped work: per benchmark, a training
 // cell and the modules its treatments sample.
-func fig10StyleCells(t *testing.T, benchmarks []string) []*fig10Cell {
+func fig10StyleCells(t testing.TB, benchmarks []string) []*fig10Cell {
 	t.Helper()
 	cells := make([]*fig10Cell, 0, len(benchmarks))
 	for _, name := range benchmarks {
@@ -79,7 +79,7 @@ func fig10StyleCells(t *testing.T, benchmarks []string) []*fig10Cell {
 // GTS samples on the plain module and hybrid samples keyed to the trained
 // agent's snapshot. agents supplies the snapshot store for in-process
 // execution; remote legs leave it nil (workers fetch from the coordinator).
-func fig10StyleJobs(t *testing.T, cells []*fig10Cell, samples int, agents ResultStore) []*Job {
+func fig10StyleJobs(t testing.TB, cells []*fig10Cell, samples int, agents ResultStore) []*Job {
 	t.Helper()
 	var jobs []*Job
 	for _, c := range cells {

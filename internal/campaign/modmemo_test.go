@@ -156,7 +156,7 @@ func TestWorkerModuleMemo(t *testing.T) {
 		var memo moduleMemo
 		var first, second *ir.Module
 		var blobs [][]byte
-		for i := 0; i <= moduleMemoCap; i++ {
+		for i := 0; i <= memoCap; i++ {
 			mod, err := lang.Compile("memo", fmt.Sprintf("func main() { var x int = %d; }", i))
 			if err != nil {
 				t.Fatal(err)
@@ -174,8 +174,8 @@ func TestWorkerModuleMemo(t *testing.T) {
 				second = got
 			}
 		}
-		if len(memo.m) != moduleMemoCap || len(memo.order) != moduleMemoCap {
-			t.Fatalf("memo holds %d entries (%d in order), want %d", len(memo.m), len(memo.order), moduleMemoCap)
+		if len(memo.m) != memoCap || len(memo.order) != memoCap {
+			t.Fatalf("memo holds %d entries (%d in order), want %d", len(memo.m), len(memo.order), memoCap)
 		}
 		if got, _, _ := memo.decode(blobs[1]); got != second {
 			t.Fatal("the second module was evicted before the first")

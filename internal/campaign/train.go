@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"astro/internal/hw"
+	"astro/internal/instrument"
 	"astro/internal/ir"
 	"astro/internal/rl"
 	"astro/internal/sched"
@@ -120,13 +121,54 @@ type trainedSnapshot struct {
 // restoreTrained decodes stored training-cell bytes and restores the
 // agent. It is the single gate between snapshot bytes and a usable
 // Trained — the warm-cache path, the queue's train-result validation, the
-// worker's agent fetch and agent-keyed jobs all trust exactly this check.
+// worker's agent fetch and agent-keyed jobs all trust exactly this check;
+// agent-keyed jobs pass each distinct byte string through it once per
+// process (restoreShared).
 func restoreTrained(data []byte) (*Trained, error) {
 	snap, err := decodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
 	return snap.restore()
+}
+
+// restoredAgent is what an agent-keyed hybrid cell builds from a snapshot:
+// the restored agent and its visited-state static policy. Cells share both
+// read-only; a *rl.DQN is consulted only through its own Inference handle.
+type restoredAgent struct {
+	agent  rl.Agent
+	policy *instrument.Policy
+}
+
+// restoredKey names a restoredAgent: the SHA-256 of the snapshot bytes, so
+// different bytes under one agent key never share an entry, and the
+// platform, which the extracted policy depends on.
+type restoredKey struct {
+	sum  [sha256.Size]byte
+	plat string
+}
+
+// restoredAgents memoizes restoreShared for the whole process. An entry is
+// a pure function of its key, so sharing it across callers changes no
+// result, only how often the same agent is restored.
+var restoredAgents fifoMemo[restoredKey, *restoredAgent]
+
+// restoreShared returns the agent the snapshot bytes restore to and its
+// visited-state policy on plat (named platName), restoring and extracting
+// them only on a memo miss. Only bytes restoreTrained accepts enter the
+// memo, so its check still gates every distinct byte string; a failed
+// restore is not memoized.
+func restoreShared(data []byte, platName string, plat *hw.Platform) (*restoredAgent, error) {
+	k := restoredKey{sum: sha256.Sum256(data), plat: platName}
+	if ra, ok := restoredAgents.get(k); ok {
+		return ra, nil
+	}
+	tr, err := restoreTrained(data)
+	if err != nil {
+		return nil, err
+	}
+	ra := &restoredAgent{agent: tr.Agent, policy: sched.ExtractPolicyVisited(tr.Agent, plat, tr.Visits)}
+	return restoredAgents.add(k, ra), nil
 }
 
 // restore rebuilds the snapshot's agent.

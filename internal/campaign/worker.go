@@ -52,7 +52,7 @@ import (
 //
 // The coordinator's store is the fleet's only shared store: the worker
 // keeps no result cache of its own, and reads trained-agent snapshots
-// through to the coordinator (GET /agents/{key}) behind an in-memory memo.
+// through to the coordinator (GET /agents/{key}) behind a bounded memo.
 // Beside it, a bounded memo of decoded modules (moduleMemo) gives every
 // cell of one module one decode and one compile.
 // Results are validated end-to-end: the worker refuses cells whose
@@ -177,17 +177,14 @@ func (w *Worker) postDrain() {
 
 // agentStore lazily builds the worker's trained-agent tier. One tier
 // serves the whole worker lifetime, so an agent fetched for one hybrid
-// cell answers every later cell keyed to the same snapshot.
+// cell answers every later cell keyed to the same snapshot, while its
+// memo keeps at most memoCap snapshots, evicting the oldest fetch first.
 func (w *Worker) agentStore() ResultStore {
 	w.agentsOnce.Do(func() {
-		w.agents = &agentFetcher{w: w, memo: NewMemStore()}
+		w.agents = &agentFetcher{w: w}
 	})
 	return w.agents
 }
-
-// moduleMemoCap bounds a worker's module memo: the same cap as sim's
-// compiled-program cache, which the memo's pointers key into.
-const moduleMemoCap = 64
 
 // moduleMemo maps the SHA-256 of a module's wire bytes to the decoded
 // module and its ModuleHash, bounded FIFO. Every cell of one module then
@@ -195,9 +192,7 @@ const moduleMemoCap = 64
 // the module once (sim.CompiledProgram keys its cache by pointer) instead
 // of once per cell. The zero value is ready to use.
 type moduleMemo struct {
-	mu    sync.Mutex
-	m     map[[sha256.Size]byte]memoModule
-	order [][sha256.Size]byte
+	fifoMemo[[sha256.Size]byte, memoModule]
 }
 
 type memoModule struct {
@@ -211,32 +206,14 @@ type memoModule struct {
 // covers the decode.
 func (mm *moduleMemo) decode(data []byte) (*ir.Module, string, error) {
 	sum := sha256.Sum256(data)
-	mm.mu.Lock()
-	e, ok := mm.m[sum]
-	mm.mu.Unlock()
-	if ok {
+	if e, ok := mm.get(sum); ok {
 		return e.mod, e.hash, nil
 	}
 	mod, err := ir.Decode(data)
 	if err != nil {
 		return nil, "", err
 	}
-	e = memoModule{mod: mod, hash: ModuleHash(mod)}
-
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	if cached, ok := mm.m[sum]; ok {
-		return cached.mod, cached.hash, nil // raced with another executor; keep one pointer
-	}
-	if mm.m == nil {
-		mm.m = make(map[[sha256.Size]byte]memoModule, moduleMemoCap)
-	}
-	if len(mm.order) >= moduleMemoCap {
-		delete(mm.m, mm.order[0])
-		mm.order = mm.order[1:]
-	}
-	mm.m[sum] = e
-	mm.order = append(mm.order, sum)
+	e := mm.add(sum, memoModule{mod: mod, hash: ModuleHash(mod)}) // racing executors keep one pointer
 	return e.mod, e.hash, nil
 }
 
@@ -250,14 +227,15 @@ const agentFetchTimeout = 30 * time.Second
 // trained-agent snapshots: Get consults the memo, then sends GET
 // {Coordinator}/agents/{key} with the worker's client and credentials.
 // Put writes only the memo — the /result submission that completes a
-// training lease is the only way a snapshot reaches the coordinator.
+// training lease is the only way a snapshot reaches the coordinator — and
+// a key the memo holds keeps its bytes, as keys are content addresses.
 type agentFetcher struct {
 	w    *Worker
-	memo ResultStore
+	memo fifoMemo[string, []byte]
 }
 
 func (a *agentFetcher) Get(key string) ([]byte, bool) {
-	if data, ok := a.memo.Get(key); ok {
+	if data, ok := a.memo.get(key); ok {
 		return data, true
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), agentFetchTimeout)
@@ -279,11 +257,13 @@ func (a *agentFetcher) Get(key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	_ = a.memo.Put(key, data)
-	return data, true
+	return a.memo.add(key, data), true
 }
 
-func (a *agentFetcher) Put(key string, data []byte) error { return a.memo.Put(key, data) }
+func (a *agentFetcher) Put(key string, data []byte) error {
+	a.memo.add(key, data)
+	return nil
+}
 
 // Run leases and executes cells until ctx is cancelled (clean shutdown,
 // returns nil). Network errors back off and retry: a worker outliving a

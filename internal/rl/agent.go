@@ -179,15 +179,30 @@ type DQN struct {
 // configurations (actions select the next configuration).
 func NewDQN(nConfigs int, cfg DQNConfig) *DQN {
 	cfg.setDefaults()
+	return newDQN(nConfigs, cfg, NewNetwork(cfg.Seed, EncodeDim(nConfigs), cfg.Hidden, nConfigs))
+}
+
+// newDQN wraps net, sized for nConfigs, in an agent whose cfg already has
+// its defaults.
+func newDQN(nConfigs int, cfg DQNConfig, net *Network) *DQN {
 	return &DQN{
 		cfg:      cfg,
 		nActions: nConfigs,
 		nConfigs: nConfigs,
-		net:      NewNetwork(cfg.Seed, EncodeDim(nConfigs), cfg.Hidden, nConfigs),
+		net:      net,
 		eps:      cfg.Eps0,
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 		bufCap:   4096,
 	}
+}
+
+// Inference returns a handle that answers Best and Q from d's weights. It
+// shares the weights, which it only reads, and owns its input scratch and
+// activations, so several goroutines may each consult their own handle on
+// one agent as long as d no longer learns. A handle cannot learn: Observe
+// panics, and it has no exploration RNG, so Select must not explore.
+func (d *DQN) Inference() *DQN {
+	return &DQN{cfg: d.cfg, nActions: d.nActions, nConfigs: d.nConfigs, net: d.net.inference(), eps: d.eps}
 }
 
 // Name implements Agent.
@@ -229,6 +244,9 @@ func (d *DQN) Q(s State, action int) float64 {
 // Observe implements Agent: one TD(0) SGD step on the new transition plus
 // replayed steps on past experience.
 func (d *DQN) Observe(prev State, action int, reward float64, next State) {
+	if d.net.errs == nil {
+		panic("rl: Observe on an inference-only DQN handle")
+	}
 	if action < 0 || action >= d.nActions {
 		panic(fmt.Sprintf("rl: action %d out of range", action))
 	}

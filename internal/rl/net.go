@@ -49,18 +49,38 @@ func NewNetwork(seed int64, sizes ...int) *Network {
 		n.w = append(n.w, wl)
 		n.b = append(n.b, make([]float64, out))
 	}
+	n.allocScratch(true)
+	return n
+}
+
+// allocScratch gives n buffers of its own for what Forward writes and, if
+// train, for what backprop writes.
+func (n *Network) allocScratch(train bool) {
+	sizes := n.sizes
 	n.acts = make([][]float64, len(sizes))
 	n.zs = make([][]float64, len(sizes)-1)
-	n.errs = make([][]float64, len(sizes)-1)
-	n.grad = make([]float64, sizes[len(sizes)-1])
+	if train {
+		n.errs = make([][]float64, len(sizes)-1)
+		n.grad = make([]float64, sizes[len(sizes)-1])
+	}
 	for i, s := range sizes {
 		n.acts[i] = make([]float64, s)
 		if i > 0 {
 			n.zs[i-1] = make([]float64, s)
-			n.errs[i-1] = make([]float64, s)
+			if train {
+				n.errs[i-1] = make([]float64, s)
+			}
 		}
 	}
-	return n
+}
+
+// inference returns a network over n's weights and biases, which it only
+// reads, with activations of its own and no training scratch: TrainAction
+// and TrainVector on it panic before any parameter changes.
+func (n *Network) inference() *Network {
+	c := &Network{sizes: n.sizes, w: n.w, b: n.b}
+	c.allocScratch(false)
+	return c
 }
 
 // NumInputs returns the input dimension.

@@ -72,7 +72,9 @@ func (t *Tabular) Snapshot() *Snapshot {
 // Restore reconstructs the captured agent. Snapshot bytes can arrive
 // from outside the process (a worker's training result), so every size
 // the agent would allocate is checked against the decoded parameters
-// first: a refused snapshot allocates nothing.
+// first: a refused snapshot allocates nothing. A restored DQN takes the
+// snapshot's weight and bias slices as its own rather than copying them,
+// so once the agent learns, s no longer holds what it captured.
 func (s *Snapshot) Restore() (Agent, error) {
 	if s.NConfigs < 1 {
 		return nil, fmt.Errorf("rl: snapshot has %d configurations, want at least 1", s.NConfigs)
@@ -87,10 +89,9 @@ func (s *Snapshot) Restore() (Agent, error) {
 		if err := checkDQNShape(s.NConfigs, cfg.Hidden, s.Weights, s.Biases); err != nil {
 			return nil, fmt.Errorf("rl: restore dqn: %w", err)
 		}
-		d := NewDQN(s.NConfigs, cfg)
-		if err := d.net.SetWeights(s.Weights, s.Biases); err != nil {
-			return nil, fmt.Errorf("rl: restore dqn: %w", err)
-		}
+		net := &Network{sizes: []int{EncodeDim(s.NConfigs), cfg.Hidden, s.NConfigs}, w: s.Weights, b: s.Biases}
+		net.allocScratch(true)
+		d := newDQN(s.NConfigs, cfg, net)
 		d.eps = s.Eps
 		return d, nil
 	case "tabular":
