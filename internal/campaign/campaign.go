@@ -129,17 +129,6 @@ func (j *Job) platformName() string {
 	return j.PlatName
 }
 
-// hybridIdentity names the job's hybrid behaviour for the content hash:
-// "agent:<key>" for agent-keyed jobs (the snapshot fully determines the
-// rebuilt policy, so its content address is the policy's identity), or
-// empty for none.
-func (j *Job) hybridIdentity() string {
-	if j.AgentKey == "" {
-		return ""
-	}
-	return "agent:" + j.AgentKey
-}
-
 // refuseHybrid is the error Wire and Execute return for a job that sets
 // the deprecated Hybrid factory.
 func (j *Job) refuseHybrid() error {
@@ -149,43 +138,58 @@ func (j *Job) refuseHybrid() error {
 // Key returns the job's content address and whether the job is cacheable.
 // A job that sets the deprecated Hybrid factory is uncacheable (and both
 // Wire and Execute refuse it).
+//
+// The address is the hex SHA-256 of a preimage appended into a stack
+// buffer: module hash, platform, OS and actuator names, initial
+// configuration, seed and arguments, one per line, then the knob
+// fingerprint and, for an agent-keyed job, "agent:<key>" (the snapshot
+// fully determines the rebuilt policy, so its content address is the
+// policy's identity). testdata/keys.golden pins these bytes.
 func (j *Job) Key() (string, bool) {
 	if j.Hybrid != nil {
 		return "", false
 	}
+	var buf [1024]byte
+	b := append(buf[:0], "astro-campaign-job-v1\n"...)
+	b = append(append(b, j.moduleHash()...), '\n')
+	b = append(append(b, j.platformName()...), '\n')
+	b = append(append(b, j.OS...), '\n')
+	b = append(append(b, j.Actuator...), '\n')
+	b = append(j.Config.Append(b), '\n')
+	b = append(strconv.AppendInt(b, j.Seed, 10), '\n')
+	b = append(appendArgs(b, j.Args), '\n')
 	// Seed, Args and InitialConfig live on the Job itself; clear them in the
 	// knob fingerprint so Opts copies can't disagree with the job fields
 	// (Execute overwrites them the same way).
 	opts := j.Opts
 	opts.Seed, opts.Args, opts.InitialConfig = 0, nil, hw.Config{}
-	fp, err := opts.Fingerprint()
+	b, err := opts.AppendFingerprint(b)
 	if err != nil {
 		return "", false
 	}
-	var sb strings.Builder
-	sb.WriteString("astro-campaign-job-v1\n")
-	sb.WriteString(j.moduleHash())
-	sb.WriteByte('\n')
-	sb.WriteString(j.platformName())
-	sb.WriteByte('\n')
-	sb.WriteString(j.OS)
-	sb.WriteByte('\n')
-	sb.WriteString(j.Actuator)
-	sb.WriteByte('\n')
-	sb.WriteString(j.Config.String())
-	sb.WriteByte('\n')
-	sb.WriteString(strconv.FormatInt(j.Seed, 10))
-	sb.WriteByte('\n')
-	for _, a := range j.Args {
-		sb.WriteString(strconv.FormatInt(a, 10))
-		sb.WriteByte(',')
+	b = append(b, '\n')
+	if j.AgentKey != "" {
+		b = append(append(b, "agent:"...), j.AgentKey...)
 	}
-	sb.WriteByte('\n')
-	sb.WriteString(fp)
-	sb.WriteByte('\n')
-	sb.WriteString(j.hybridIdentity())
-	sum := sha256.Sum256([]byte(sb.String()))
-	return hex.EncodeToString(sum[:]), true
+	return hexSHA256(b), true
+}
+
+// appendArgs appends each argument in decimal followed by a comma.
+func appendArgs(b []byte, args []int64) []byte {
+	for _, a := range args {
+		b = append(strconv.AppendInt(b, a, 10), ',')
+	}
+	return b
+}
+
+// hexSHA256 returns the hex SHA-256 of a key's preimage. The digest and
+// its hex form stay on the stack; the returned string is the one
+// allocation.
+func hexSHA256(preimage []byte) string {
+	sum := sha256.Sum256(preimage)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // ValidateScheduler checks a scheduler token without building anything.

@@ -4,8 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,6 +132,72 @@ func TestKeysGolden(t *testing.T) {
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("key %d:\n got  %s\n want %s", i, gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// TestAppendDQNConfigMatchesPlusV holds the training key's DQN config
+// bytes to what fmt's %+v prints, which every stored training key was
+// built from. Fields are filled by reflection, so a field added to
+// rl.DQNConfig fails here until appendDQNConfig writes it.
+func TestAppendDQNConfigMatchesPlusV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	floats := []float64{0, math.Copysign(0, -1), 1e-5, 1e-7, 1e20, 1e21, math.Inf(1), math.Inf(-1), 0.03}
+	for i := 0; i < 1000; i++ {
+		var c rl.DQNConfig
+		v := reflect.ValueOf(&c).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			switch fv := v.Field(f); fv.Kind() {
+			case reflect.Int, reflect.Int64:
+				fv.SetInt(int64(rng.Uint64()) >> (64 - fv.Type().Bits()) >> rng.Intn(64))
+			case reflect.Float64:
+				if rng.Intn(2) == 0 {
+					fv.SetFloat(floats[rng.Intn(len(floats))])
+				} else if x := math.Float64frombits(rng.Uint64()); !math.IsNaN(x) {
+					fv.SetFloat(x)
+				}
+			default:
+				t.Fatalf("rl.DQNConfig.%s has kind %s: teach appendDQNConfig and this filler the new field", v.Type().Field(f).Name, fv.Kind())
+			}
+		}
+		if got, want := string(appendDQNConfig([]byte("p"), c)), "p"+fmt.Sprintf("%+v", c); got != want {
+			t.Fatalf("appendDQNConfig differs from %%+v:\n got: %s\nwant: %s", got, want)
+		}
+	}
+}
+
+// keyedJob is a registry-module job with arguments and an agent key, its
+// module hash already cached as Spec.Expand leaves it.
+func keyedJob(tb testing.TB) *Job {
+	tb.Helper()
+	spec := Spec{Benchmarks: []string{"matrixmul"}, Schedulers: []string{"gts"}}
+	jobs, err := spec.Expand()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	j := jobs[0]
+	j.AgentKey = strings.Repeat("ab", 32)
+	return j
+}
+
+// TestJobKeyAllocs pins Job.Key at one allocation, the returned string:
+// the preimage, its digest and the hex form stay on the stack, and
+// nothing on the path reaches fmt or reflect.
+func TestJobKeyAllocs(t *testing.T) {
+	j := keyedJob(t)
+	if allocs := testing.AllocsPerRun(100, func() { j.Key() }); allocs != 1 {
+		t.Fatalf("Job.Key allocates %.1f objects/run, want 1", allocs)
+	}
+}
+
+// BenchmarkJobKey measures the content address every cell computes
+// before it reads the store, on a registry module whose hash is cached.
+func BenchmarkJobKey(b *testing.B) {
+	j := keyedJob(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := j.Key(); !ok {
+			b.Fatal("job not cacheable")
 		}
 	}
 }

@@ -14,12 +14,10 @@ package campaign
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"astro/internal/hw"
@@ -48,19 +46,14 @@ type TrainSpec struct {
 }
 
 // Key returns the cell's content address. Like Job.Key, it is a SHA-256
-// over every input that can influence the trained agent.
+// over every input that can influence the trained agent, appended into a
+// stack buffer; testdata/keys.golden pins the bytes.
 func (ts *TrainSpec) Key() (string, error) { return ts.key("") }
 
 // key is Key with the module's hash already in hand ("" = hash it here).
 func (ts *TrainSpec) key(modHash string) (string, error) {
 	if ts.Opts.OS != nil || ts.Opts.Actuator != nil || ts.Opts.Hybrid != nil {
 		return "", fmt.Errorf("campaign: train spec %q: set policies by name, not in Opts", ts.Label)
-	}
-	opts := ts.Opts
-	opts.Seed, opts.Args = 0, nil
-	fp, err := opts.Fingerprint()
-	if err != nil {
-		return "", err
 	}
 	episodes := ts.Episodes
 	if episodes == 0 {
@@ -74,33 +67,47 @@ func (ts *TrainSpec) key(modHash string) (string, error) {
 	if agent == "" {
 		agent = "dqn"
 	}
-	var sb strings.Builder
-	sb.WriteString("astro-trained-agent-v1\n")
 	if modHash == "" {
 		modHash = ModuleHash(ts.Module)
 	}
-	sb.WriteString(modHash)
-	sb.WriteByte('\n')
 	plat := ts.PlatName
 	if plat == "" {
 		plat = DefaultPlatform
 	}
-	sb.WriteString(plat)
-	sb.WriteByte('\n')
-	sb.WriteString(ts.OS)
-	sb.WriteByte('\n')
-	sb.WriteString(agent)
-	sb.WriteByte('\n')
-	fmt.Fprintf(&sb, "%+v\n", ts.DQN)
-	fmt.Fprintf(&sb, "gamma=%g hipster=%t episodes=%d seed=%d\n", gamma, ts.Hipster, episodes, ts.Seed)
-	for _, a := range ts.Args {
-		sb.WriteString(strconv.FormatInt(a, 10))
-		sb.WriteByte(',')
+	var buf [1024]byte
+	b := append(buf[:0], "astro-trained-agent-v1\n"...)
+	b = append(append(b, modHash...), '\n')
+	b = append(append(b, plat...), '\n')
+	b = append(append(b, ts.OS...), '\n')
+	b = append(append(b, agent...), '\n')
+	b = append(appendDQNConfig(b, ts.DQN), '\n')
+	b = strconv.AppendFloat(append(b, "gamma="...), gamma, 'g', -1, 64)
+	b = strconv.AppendBool(append(b, " hipster="...), ts.Hipster)
+	b = strconv.AppendInt(append(b, " episodes="...), int64(episodes), 10)
+	b = strconv.AppendInt(append(b, " seed="...), ts.Seed, 10)
+	b = append(appendArgs(append(b, '\n'), ts.Args), '\n')
+	opts := ts.Opts
+	opts.Seed, opts.Args = 0, nil
+	b, err := opts.AppendFingerprint(b)
+	if err != nil {
+		return "", err
 	}
-	sb.WriteByte('\n')
-	sb.WriteString(fp)
-	sum := sha256.Sum256([]byte(sb.String()))
-	return hex.EncodeToString(sum[:]), nil
+	return hexSHA256(b), nil
+}
+
+// appendDQNConfig appends the bytes fmt's %+v prints for c, the form
+// every stored training key was built from; TestAppendDQNConfigMatchesPlusV
+// holds the two equal.
+func appendDQNConfig(b []byte, c rl.DQNConfig) []byte {
+	b = strconv.AppendInt(append(b, "{Hidden:"...), int64(c.Hidden), 10)
+	b = strconv.AppendFloat(append(b, " LR:"...), c.LR, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " Discount:"...), c.Discount, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " Eps0:"...), c.Eps0, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " EpsMin:"...), c.EpsMin, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, " EpsDecay:"...), c.EpsDecay, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, " Seed:"...), c.Seed, 10)
+	b = strconv.AppendInt(append(b, " Replay:"...), int64(c.Replay), 10)
+	return append(b, '}')
 }
 
 // Trained is a training cell's outcome.

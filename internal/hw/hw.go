@@ -25,7 +25,7 @@
 // them. TestPlatformParamsRoundTrip and the hw parse tests pin it.
 package hw
 
-import "fmt"
+import "strconv"
 
 // CoreType distinguishes LITTLE (low-power, in-order) from big
 // (high-performance, out-of-order) cores.
@@ -50,7 +50,18 @@ type Config struct {
 	Big    int
 }
 
-func (c Config) String() string { return fmt.Sprintf("%dL%dB", c.Little, c.Big) }
+func (c Config) String() string {
+	var buf [24]byte
+	return string(c.Append(buf[:0]))
+}
+
+// Append appends the configuration's String form, "<L>L<B>B", to b.
+func (c Config) Append(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(c.Little), 10)
+	b = append(b, 'L')
+	b = strconv.AppendInt(b, int64(c.Big), 10)
+	return append(b, 'B')
+}
 
 // Cores returns the total number of active cores.
 func (c Config) Cores() int { return c.Little + c.Big }

@@ -413,16 +413,50 @@ func (d *decoder) checkpoint(ck *Checkpoint) {
 	d.lit("}")
 }
 
-// Fingerprint returns a short stable identity for a set of option knobs,
-// used in simulation cache keys. Interface-valued fields (OS, Actuator,
-// Hybrid) are the caller's responsibility: they carry behaviour that the
-// caller must name in its own part of the key, so Fingerprint rejects
-// options that still have them set.
-func (o Options) Fingerprint() (string, error) {
+// AppendFingerprint appends a stable identity for a set of option knobs to
+// b, for simulation cache keys. The bytes are exactly what fmt's %+v prints
+// for o — fields in declaration order, InitialConfig in its String form,
+// floats as %v formats them — because every stored key was built from
+// that form; TestAppendFingerprintMatchesPlusV fills every field by
+// reflection and holds the two equal, so a field added to Options must be
+// added here too. Interface-valued fields (OS, Actuator, Hybrid) are the
+// caller's responsibility: they carry behaviour that the caller must name
+// in its own part of the key, so AppendFingerprint rejects options that
+// still have them set.
+func (o Options) AppendFingerprint(b []byte) ([]byte, error) {
 	if o.OS != nil || o.Actuator != nil || o.Hybrid != nil {
-		return "", fmt.Errorf("sim: options fingerprint requires nil OS/Actuator/Hybrid (name policies separately)")
+		return b, errors.New("sim: options fingerprint requires nil OS/Actuator/Hybrid (name policies separately)")
 	}
-	// %+v covers every scalar field, including ones added later, in
-	// declaration order.
-	return fmt.Sprintf("%+v", o), nil
+	b = strconv.AppendInt(append(b, "{Seed:"...), o.Seed, 10)
+	b = append(b, " Args:["...)
+	for i, a := range o.Args {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, a, 10)
+	}
+	b = o.InitialConfig.Append(append(b, "] InitialConfig:"...))
+	b = appendFloatField(b, " QuantumS:", o.QuantumS)
+	b = appendFloatField(b, " TickS:", o.TickS)
+	b = appendFloatField(b, " CheckpointS:", o.CheckpointS)
+	b = appendFloatField(b, " SampleS:", o.SampleS)
+	b = appendFloatField(b, " MaxTimeS:", o.MaxTimeS)
+	b = strconv.AppendInt(append(b, " MaxThreads:"...), int64(o.MaxThreads), 10)
+	b = strconv.AppendInt(append(b, " StackCells:"...), o.StackCells, 10)
+	b = append(b, " OS:<nil> Actuator:<nil> Hybrid:<nil> BoundsCheck:"...)
+	b = strconv.AppendBool(b, o.BoundsCheck)
+	b = strconv.AppendBool(append(b, " CaptureOutput:"...), o.CaptureOutput)
+	b = strconv.AppendInt(append(b, " MaxOutput:"...), int64(o.MaxOutput), 10)
+	b = strconv.AppendBool(append(b, " LegacyInterp:"...), o.LegacyInterp)
+	b = appendFloatField(b, " UserInputLatencyS:", o.UserInputLatencyS)
+	b = appendFloatField(b, " FileReadLatencyS:", o.FileReadLatencyS)
+	b = appendFloatField(b, " WriteLatencyS:", o.WriteLatencyS)
+	b = appendFloatField(b, " NetLatencyS:", o.NetLatencyS)
+	b = appendFloatField(b, " WakeLatencyS:", o.WakeLatencyS)
+	return append(b, '}'), nil
+}
+
+// appendFloatField appends name and f as %v prints a float64.
+func appendFloatField(b []byte, name string, f float64) []byte {
+	return strconv.AppendFloat(append(b, name...), f, 'g', -1, 64)
 }
