@@ -18,19 +18,25 @@ import (
 
 var updateKeys = flag.Bool("update", false, "rewrite testdata/keys.golden")
 
+// goldenOpts is one numbered case of non-default simulator knobs.
+type goldenOpts struct {
+	n    int
+	opts sim.Options
+}
+
 // goldenKeyOpts are non-default simulator knobs for the key golden: every
 // float that needs 'e' notation under %v (4e-07, 1e+21), one that does not
-// (0.0001), a negative, every bool set and the integer knobs moved.
-func goldenKeyOpts() []sim.Options {
-	return []sim.Options{
-		{QuantumS: 0.0001, TickS: 4e-07, CheckpointS: 1e+21},
-		{SampleS: 1e-5, MaxTimeS: 12.5, MaxThreads: 8, StackCells: 4096},
-		{BoundsCheck: true, CaptureOutput: true, MaxOutput: 17, LegacyInterp: true},
-		{UserInputLatencyS: 3.0000000000000004e-3, FileReadLatencyS: -2e-6,
-			WriteLatencyS: 1.5e-6, NetLatencyS: 123456789, WakeLatencyS: math.SmallestNonzeroFloat64},
+// (0.0001), every bool set and the integer knobs moved. Case 3 set the
+// blocking latencies, which are constants now; its number stays unused so
+// every other case keeps its label.
+func goldenKeyOpts() []goldenOpts {
+	return []goldenOpts{
+		{0, sim.Options{QuantumS: 0.0001, TickS: 4e-07, CheckpointS: 1e+21}},
+		{1, sim.Options{SampleS: 1e-5, MaxTimeS: 12.5, MaxThreads: 8, StackCells: 4096}},
+		{2, sim.Options{BoundsCheck: true, CaptureOutput: true, MaxOutput: 17, LegacyInterp: true}},
 		// Seed, Args and InitialConfig in Opts are carried by the job
 		// fields; Job.Key clears them, TrainSpec.Key keeps InitialConfig.
-		{Seed: 7, Args: []int64{1, -2}, InitialConfig: hw.Config{Little: 2, Big: 3}, QuantumS: 2e-4},
+		{4, sim.Options{Seed: 7, Args: []int64{1, -2}, InitialConfig: hw.Config{Little: 2, Big: 3}, QuantumS: 2e-4}},
 	}
 }
 
@@ -80,10 +86,10 @@ func goldenKeys(t *testing.T) string {
 	agent := *base
 	agent.AgentKey = strings.Repeat("ab", 32)
 	jobKey("agent", &agent)
-	for i, o := range goldenKeyOpts() {
+	for _, o := range goldenKeyOpts() {
 		j := *base
-		j.Opts = o
-		jobKey(fmt.Sprintf("opts-%d", i), &j)
+		j.Opts = o.opts
+		jobKey(fmt.Sprintf("opts-%d", o.n), &j)
 	}
 
 	trains := []TrainSpec{
@@ -93,17 +99,19 @@ func goldenKeys(t *testing.T) string {
 			DQN:  rl.DQNConfig{Hidden: 16, LR: 0.0001, Discount: 0.9, Eps0: 4e-07, EpsMin: 1e+21, EpsDecay: -0.5, Seed: 11, Replay: -1},
 			Args: []int64{5, 6}},
 	}
-	for i, o := range goldenKeyOpts() {
-		trains = append(trains, TrainSpec{Agent: "tabular", Opts: o, Label: fmt.Sprintf("opts-%d", i)})
+	labels := []int{0, 1, 2} // train-<n>: the specs above, then 3 + each opts case's number
+	for _, o := range goldenKeyOpts() {
+		trains = append(trains, TrainSpec{Agent: "tabular", Opts: o.opts, Label: fmt.Sprintf("opts-%d", o.n)})
+		labels = append(labels, 3+o.n)
 	}
 	for i := range trains {
 		ts := &trains[i]
 		ts.Module = base.Module
 		k, err := ts.Key()
 		if err != nil {
-			t.Fatalf("train %d: %v", i, err)
+			t.Fatalf("train %d: %v", labels[i], err)
 		}
-		line(fmt.Sprintf("train-%d", i), k)
+		line(fmt.Sprintf("train-%d", labels[i]), k)
 	}
 	return sb.String()
 }

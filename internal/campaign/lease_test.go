@@ -177,7 +177,7 @@ func TestWorkerLeaseBody(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/ok/lease":
-			json.NewEncoder(w).Encode(LeaseResponse{Cells: []*WireJob{{Key: "k", Label: "cell"}}, LeaseTTLMS: 1500, RetryAfterMS: 20})
+			json.NewEncoder(w).Encode(LeaseResponse{Cells: []*WireJob{{Key: "k", Label: "cell"}}, LeaseTTLMS: 1500})
 		case "/malformed/lease":
 			io.WriteString(w, `{"cells":[`)
 		case "/truncated/lease":
@@ -190,12 +190,12 @@ func TestWorkerLeaseBody(t *testing.T) {
 	w := &Worker{Coordinator: srv.URL + "/ok", ID: "w"}
 	capacity := 0
 	for i := 0; i < 3; i++ {
-		cells, retry, ttl, err := w.lease(ctx)
+		cells, ttl, err := w.lease(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cells) != 1 || cells[0].Key != "k" || retry != 20*time.Millisecond || ttl != 1500*time.Millisecond {
-			t.Fatalf("lease %d: %d cells, retry %v, ttl %v", i, len(cells), retry, ttl)
+		if len(cells) != 1 || cells[0].Key != "k" || ttl != 1500*time.Millisecond {
+			t.Fatalf("lease %d: %d cells, ttl %v", i, len(cells), ttl)
 		}
 		if w.leaseBody.Len() == 0 {
 			t.Fatalf("lease %d: the body did not go through the worker's buffer", i)
@@ -207,7 +207,7 @@ func TestWorkerLeaseBody(t *testing.T) {
 	}
 	for _, bad := range []string{"malformed", "truncated"} {
 		w.Coordinator = srv.URL + "/" + bad
-		if cells, _, _, err := w.lease(ctx); err == nil {
+		if cells, _, err := w.lease(ctx); err == nil {
 			t.Fatalf("%s body: leased %d cells, want an error", bad, len(cells))
 		}
 	}

@@ -35,7 +35,6 @@ type Outcome struct {
 	Bytes     []byte // canonical result encoding (what the store holds)
 	CacheHit  bool
 	Err       error
-	Attempts  int
 	Worker    int
 	WallS     float64
 	SimInstr  uint64 // retired instructions in the simulated run
@@ -78,7 +77,6 @@ func resultWork(r *sim.Result) (instr, cycles uint64) {
 type Pool struct {
 	Workers int         // concurrent workers; <= 0 means 1
 	Store   ResultStore // nil disables caching
-	Retries int         // extra attempts per failing job
 }
 
 // Run executes the batch. It returns one outcome per job, in job order,
@@ -151,8 +149,9 @@ func jobErrors(outs []*Outcome) error {
 	return errors.Join(errs...)
 }
 
-// runOne executes one job: cache lookup, simulation with retries, cache
-// fill.
+// runOne executes one job: cache lookup, simulation, cache fill. A failed
+// simulation is not retried: the simulator is deterministic, so a re-run
+// returns the same error.
 func (p *Pool) runOne(j *Job, worker int) *Outcome {
 	start := time.Now()
 	o := &Outcome{Job: j, Worker: worker}
@@ -178,21 +177,11 @@ func (p *Pool) runOne(j *Job, worker int) *Outcome {
 		j.Agents = p.Store
 	}
 	execStart := time.Now()
-	for attempt := 0; ; attempt++ {
-		o.Attempts = attempt + 1
-		res, err := j.Execute()
-		if err == nil {
-			o.Result = res
-			break
-		}
-		o.Err = err
-		if attempt >= p.Retries {
-			o.WallS = time.Since(start).Seconds()
-			cPoolErr.Inc()
-			return o
-		}
+	if o.Result, o.Err = j.Execute(); o.Err != nil {
+		o.WallS = time.Since(start).Seconds()
+		cPoolErr.Inc()
+		return o
 	}
-	o.Err = nil
 	cPoolExec.Inc()
 	hPoolExec.Observe(time.Since(execStart).Seconds())
 	o.SimInstr, o.SimCycles = resultWork(o.Result)

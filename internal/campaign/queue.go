@@ -41,7 +41,7 @@ import (
 //	active ─────────▶ draining ──────────────────────▶ (held leases requeue)
 //	   │    ▲            │ Resume
 //	   │    └────────────┘
-//	   │   QuarantineAfter rejected submissions        Resume
+//	   │   3 rejected submissions (quarantineAfter)    Resume
 //	   └──────────────────────────────▶ quarantined ──────────▶ active
 //
 // Draining and quarantined workers receive no cells from Lease; their
@@ -100,12 +100,6 @@ type WorkQueue struct {
 	// re-issues — the "coordinator lost the result after the ack" case.
 	// Set before serving.
 	Faults FaultPolicy
-
-	// QuarantineAfter is the rejected-submission count at which a worker
-	// is quarantined (no further leases until Resume). NewWorkQueue sets
-	// the default (3); non-positive disables quarantine. Set before
-	// serving.
-	QuarantineAfter int
 
 	// Events, when non-nil, receives one journal.Event per lifecycle
 	// transition — the flight-recorder seam. Emission never fails or
@@ -241,6 +235,10 @@ type QueueStats struct {
 // a worker that stops heartbeating loses its leases.
 const DefaultLeaseTTL = 2 * time.Minute
 
+// quarantineAfter is the rejected-submission count at which a worker is
+// quarantined: it gets no further leases until Resume.
+const quarantineAfter = 3
+
 // NewWorkQueue builds a queue with the given lease TTL (0 =
 // DefaultLeaseTTL) and the default 3-attempt cap per cell.
 func NewWorkQueue(ttl time.Duration) *WorkQueue {
@@ -248,15 +246,14 @@ func NewWorkQueue(ttl time.Duration) *WorkQueue {
 		ttl = DefaultLeaseTTL
 	}
 	return &WorkQueue{
-		ttl:             ttl,
-		maxAttempts:     3,
-		now:             time.Now,
-		cells:           map[string]*workCell{},
-		leased:          map[string]*workCell{},
-		doneKeys:        map[string]bool{},
-		workers:         map[string]*WorkerStatus{},
-		Traces:          telemetry.NewTraceStore(0),
-		QuarantineAfter: 3,
+		ttl:         ttl,
+		maxAttempts: 3,
+		now:         time.Now,
+		cells:       map[string]*workCell{},
+		leased:      map[string]*workCell{},
+		doneKeys:    map[string]bool{},
+		workers:     map[string]*WorkerStatus{},
+		Traces:      telemetry.NewTraceStore(0),
 	}
 }
 
@@ -661,14 +658,14 @@ func (q *WorkQueue) Resume(workerID string) WorkerStatus {
 }
 
 // noteRejectLocked counts a rejected submission against its sender and
-// quarantines the worker once it crosses QuarantineAfter: a worker whose
+// quarantines the worker once it reaches quarantineAfter: a worker whose
 // results repeatedly fail validation is corrupting (bad build, bit
 // flips, hostile) and must stop burning cells' attempt budgets. Its held
 // leases are left to the normal expiry/reject paths — a valid result
 // would still be accepted — it just gets nothing new.
 func (q *WorkQueue) noteRejectLocked(w *WorkerStatus) {
 	w.Rejects++
-	if q.QuarantineAfter > 0 && w.Rejects >= q.QuarantineAfter && w.State != WorkerQuarantined {
+	if w.Rejects >= quarantineAfter && w.State != WorkerQuarantined {
 		w.State = WorkerQuarantined
 		w.drainDeadline = time.Time{}
 		cQQuarantines.Inc()

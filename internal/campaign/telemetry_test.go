@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,36 +59,62 @@ func TestWireCampaignFieldInert(t *testing.T) {
 }
 
 // TestWireProgramFieldInert pins mixed-version compatibility: a lease from
-// a coordinator built before program shipping was retired still carries a
-// "program" field of compiled bytes. The worker ignores it — the cell
-// decodes to the same key and the same job, and compiles its own module.
+// an older coordinator still carries fields this build dropped — a
+// "program" of compiled bytes (from before program shipping was retired),
+// each cell's "benchmark", the response's "retry_after_ms", and the five
+// blocking latencies in "opts", which were always zero. The worker ignores
+// them: the cell decodes to the same key and the same job, and compiles
+// its own module.
 func TestWireProgramFieldInert(t *testing.T) {
 	w := wireJobs(t, 1)[0]
 	data, err := json.Marshal(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fields map[string]json.RawMessage
+	var fields, opts map[string]json.RawMessage
 	if err := json.Unmarshal(data, &fields); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fields["program"]; ok {
-		t.Fatal("a fresh wire job carries a program field")
+	if err := json.Unmarshal(fields["opts"], &opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"program", "benchmark"} {
+		if _, ok := fields[k]; ok {
+			t.Fatalf("a fresh wire job carries a %q field", k)
+		}
 	}
 	fields["program"] = json.RawMessage(`"bm90IGV2ZW4gYSB2YWxpZCBwcm9ncmFtIGFydGlmYWN0"`)
+	fields["benchmark"] = json.RawMessage(`"matrixmul"`)
+	for _, k := range []string{"UserInputLatencyS", "FileReadLatencyS", "WriteLatencyS", "NetLatencyS", "WakeLatencyS"} {
+		if _, ok := opts[k]; ok {
+			t.Fatalf("fresh wire options carry %q", k)
+		}
+		opts[k] = json.RawMessage(`0`)
+	}
+	if fields["opts"], err = json.Marshal(opts); err != nil {
+		t.Fatal(err)
+	}
 	if data, err = json.Marshal(fields); err != nil {
 		t.Fatal(err)
 	}
-	var rt WireJob
-	if err := json.Unmarshal(data, &rt); err != nil {
-		t.Fatalf("lease with a program field rejected: %v", err)
+	var lr LeaseResponse
+	lease := fmt.Sprintf(`{"cells":[%s],"lease_ttl_ms":120000,"retry_after_ms":500}`, data)
+	if err := json.Unmarshal([]byte(lease), &lr); err != nil || len(lr.Cells) != 1 || lr.LeaseTTLMS != 120000 {
+		t.Fatalf("older lease decoded to %d cells, ttl %d ms: %v", len(lr.Cells), lr.LeaseTTLMS, err)
 	}
-	j, err := rt.Job()
+	j, err := lr.Cells[0].Job()
 	if err != nil {
-		t.Fatalf("program-stamped wire job rejected: %v", err)
+		t.Fatalf("older wire job rejected: %v", err)
 	}
 	if key, ok := j.Key(); !ok || key != w.Key {
-		t.Fatalf("program bytes changed the key: %q vs %q", key, w.Key)
+		t.Fatalf("older fields changed the key: %q vs %q", key, w.Key)
+	}
+	want, err := w.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(j, want) {
+		t.Fatalf("older fields changed the job:\n got  %+v\n want %+v", j, want)
 	}
 }
 

@@ -41,10 +41,9 @@ const (
 // trained-agent snapshot itself, keyed exactly like the in-process
 // trained-agent cache.
 type WireJob struct {
-	Kind      string `json:"kind,omitempty"` // KindSim or KindTrain
-	Index     int    `json:"index"`
-	Label     string `json:"label"`
-	Benchmark string `json:"benchmark,omitempty"`
+	Kind  string `json:"kind,omitempty"` // KindSim or KindTrain
+	Index int    `json:"index"`
+	Label string `json:"label"`
 
 	Module   []byte  `json:"module"` // ir.Encode bytes (canonical codec)
 	PlatName string  `json:"platform,omitempty"`
@@ -119,20 +118,19 @@ func (j *Job) wire(key string, mods moduleBytes) (*WireJob, error) {
 		}
 	}
 	return &WireJob{
-		Index:     j.Index,
-		Label:     j.Label,
-		Benchmark: j.Benchmark,
-		Module:    mods.encode(j.Module),
-		PlatName:  j.PlatName,
-		OS:        j.OS,
-		Actuator:  j.Actuator,
-		Little:    j.Config.Little,
-		Big:       j.Config.Big,
-		Seed:      j.Seed,
-		Args:      j.Args,
-		AgentKey:  j.AgentKey,
-		Opts:      j.Opts,
-		Key:       key,
+		Index:    j.Index,
+		Label:    j.Label,
+		Module:   mods.encode(j.Module),
+		PlatName: j.PlatName,
+		OS:       j.OS,
+		Actuator: j.Actuator,
+		Little:   j.Config.Little,
+		Big:      j.Config.Big,
+		Seed:     j.Seed,
+		Args:     j.Args,
+		AgentKey: j.AgentKey,
+		Opts:     j.Opts,
+		Key:      key,
 	}, nil
 }
 
@@ -171,19 +169,18 @@ func (wj *WireJob) job(mods *moduleMemo) (*Job, error) {
 		return nil, fmt.Errorf("campaign: wire job %q: module: %w", wj.Label, err)
 	}
 	j := &Job{
-		Index:     wj.Index,
-		Label:     wj.Label,
-		Benchmark: wj.Benchmark,
-		Module:    mod,
-		PlatName:  wj.PlatName,
-		OS:        wj.OS,
-		Actuator:  wj.Actuator,
-		Config:    hw.Config{Little: wj.Little, Big: wj.Big},
-		Seed:      wj.Seed,
-		Args:      wj.Args,
-		AgentKey:  wj.AgentKey,
-		Opts:      wj.Opts,
-		modHash:   hash,
+		Index:    wj.Index,
+		Label:    wj.Label,
+		Module:   mod,
+		PlatName: wj.PlatName,
+		OS:       wj.OS,
+		Actuator: wj.Actuator,
+		Config:   hw.Config{Little: wj.Little, Big: wj.Big},
+		Seed:     wj.Seed,
+		Args:     wj.Args,
+		AgentKey: wj.AgentKey,
+		Opts:     wj.Opts,
+		modHash:  hash,
 	}
 	key, ok := j.Key()
 	if !ok {

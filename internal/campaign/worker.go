@@ -64,7 +64,7 @@ type Worker struct {
 	ID          string         // worker identity for lease accounting
 	Max         int            // cells per lease (0 = 2 per executor)
 	Parallel    int            // executor goroutines per batch (default 1); `astro worker -j`
-	Poll        time.Duration  // idle backoff (default 500ms; the coordinator may suggest longer)
+	Poll        time.Duration  // idle backoff (default 500ms)
 	Renew       time.Duration  // heartbeat interval; 0 = a third of the lease TTL, negative = disabled
 	Client      *http.Client   // nil = http.DefaultClient
 	Token       string         // bearer token for coordinators behind WithBearerAuth ("" = none)
@@ -288,7 +288,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.logf("worker %s: drained with zero held leases", w.ID)
 			return nil
 		}
-		cells, retryAfter, ttl, err := w.lease(ctx)
+		cells, ttl, err := w.lease(ctx)
 		if err != nil {
 			// Coordinator unreachable or erroring: count it, say so, and
 			// retry with capped, jittered exponential backoff.
@@ -304,15 +304,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		if len(cells) == 0 {
 			idle++
-			// An explicitly configured Poll wins over the coordinator's
-			// retry hint: loopback clusters set tight polls on purpose so
-			// batch boundaries do not idle for the server's default
-			// half-second. Only unconfigured workers follow the hint.
-			wait := poll
-			if w.Poll <= 0 && retryAfter > wait {
-				wait = retryAfter
-			}
-			if !sleep(ctx, wait) {
+			if !sleep(ctx, poll) {
 				return nil
 			}
 			continue
@@ -532,31 +524,31 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-func (w *Worker) lease(ctx context.Context) ([]*WireJob, time.Duration, time.Duration, error) {
+func (w *Worker) lease(ctx context.Context) ([]*WireJob, time.Duration, error) {
 	body, _ := json.Marshal(LeaseRequest{WorkerID: w.ID, Max: w.max(), LeaseErrors: w.leaseErrs.Load()})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+"/lease", bytes.NewReader(body))
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	w.setAuth(req)
 	resp, err := w.client().Do(req)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		return nil, 0, 0, fmt.Errorf("campaign: lease: coordinator returned %s", resp.Status)
+		return nil, 0, fmt.Errorf("campaign: lease: coordinator returned %s", resp.Status)
 	}
 	if err := readLimited(&w.leaseBody, resp.Body, maxResultBytes); err != nil {
-		return nil, 0, 0, fmt.Errorf("campaign: lease: %w", err)
+		return nil, 0, fmt.Errorf("campaign: lease: %w", err)
 	}
 	var lr LeaseResponse
 	if err := json.Unmarshal(w.leaseBody.Bytes(), &lr); err != nil {
-		return nil, 0, 0, fmt.Errorf("campaign: lease: %w", err)
+		return nil, 0, fmt.Errorf("campaign: lease: %w", err)
 	}
-	return lr.Cells, time.Duration(lr.RetryAfterMS) * time.Millisecond, time.Duration(lr.LeaseTTLMS) * time.Millisecond, nil
+	return lr.Cells, time.Duration(lr.LeaseTTLMS) * time.Millisecond, nil
 }
 
 // readLimited replaces buf's contents with everything r holds, keeping

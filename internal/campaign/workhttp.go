@@ -47,12 +47,12 @@ type LeaseRequest struct {
 	LeaseErrors uint64 `json:"lease_errors,omitempty"`
 }
 
-// LeaseResponse carries the leased cells. An empty Cells slice means no
-// work is available; the worker should poll again after RetryAfterMS.
+// LeaseResponse carries the leased cells and the lease TTL they are held
+// under. An empty Cells slice means no work is available; the worker
+// polls again after its own Poll interval.
 type LeaseResponse struct {
-	Cells        []*WireJob `json:"cells"`
-	LeaseTTLMS   int64      `json:"lease_ttl_ms"`
-	RetryAfterMS int64      `json:"retry_after_ms"`
+	Cells      []*WireJob `json:"cells"`
+	LeaseTTLMS int64      `json:"lease_ttl_ms"`
 }
 
 // ResultSubmission pushes one cell's outcome back. Either Data (canonical
@@ -88,8 +88,7 @@ type RenewRequest struct {
 // that cell rather than double-submitting a result another worker is
 // already computing.
 type RenewResponse struct {
-	Renewed    []string `json:"renewed"`
-	LeaseTTLMS int64    `json:"lease_ttl_ms"`
+	Renewed []string `json:"renewed"`
 }
 
 // DrainRequest flips a worker's coordinator-side state. Without Resume it
@@ -147,9 +146,8 @@ func WorkHandler(q *WorkQueue, store ResultStore) http.Handler {
 		cells := q.Lease(req.WorkerID, req.Max)
 		q.NoteWorkerLeaseErrors(req.WorkerID, req.LeaseErrors)
 		writeJSON(w, http.StatusOK, LeaseResponse{
-			Cells:        cells,
-			LeaseTTLMS:   q.ttl.Milliseconds(),
-			RetryAfterMS: 500,
+			Cells:      cells,
+			LeaseTTLMS: q.ttl.Milliseconds(),
 		})
 	})
 
@@ -164,10 +162,7 @@ func WorkHandler(q *WorkQueue, store ResultStore) http.Handler {
 			return
 		}
 		renewed := q.Renew(req.WorkerID, req.Keys)
-		writeJSON(w, http.StatusOK, RenewResponse{
-			Renewed:    renewed,
-			LeaseTTLMS: q.ttl.Milliseconds(),
-		})
+		writeJSON(w, http.StatusOK, RenewResponse{Renewed: renewed})
 	})
 
 	mux.HandleFunc("POST /result", func(w http.ResponseWriter, r *http.Request) {

@@ -222,9 +222,6 @@ func propagateBlockingFlags(m *ir.Module, mi *ModuleInfo) {
 	}
 }
 
-// PhaseOf returns the phase of function index i.
-func (mi *ModuleInfo) PhaseOf(i int) Phase { return mi.Funcs[i].Phase }
-
 // Histogram counts functions per phase.
 func (mi *ModuleInfo) Histogram() [NumPhases]int {
 	var h [NumPhases]int

@@ -87,12 +87,6 @@ type Options struct {
 	// 0 selects 4 MiB. Rotation is the cheap durability point — every
 	// completed segment is fully on disk.
 	SegmentBytes int64
-
-	// SyncEvery fsyncs the current segment after every N appends. 0 means
-	// sync only on rotation and Close (fast; a crash can lose the tail of
-	// the current segment). 1 makes every event durable before Record
-	// returns (slow; use for forensic-critical runs).
-	SyncEvery int
 }
 
 const defaultSegmentBytes = 4 << 20
@@ -126,12 +120,11 @@ type Writer struct {
 	dir  string
 	opts Options
 
-	mu        sync.Mutex
-	f         *os.File
-	size      int64
-	seq       uint64 // last assigned sequence number
-	sinceSync int
-	err       error // first unrecoverable append error, sticky
+	mu   sync.Mutex
+	f    *os.File
+	size int64
+	seq  uint64 // last assigned sequence number
+	err  error  // first unrecoverable append error, sticky
 }
 
 // Open creates (or reopens for append) the journal in dir. Reopening
@@ -235,14 +228,6 @@ func (w *Writer) Record(ev Event) (uint64, error) {
 	}
 	w.seq = ev.Seq
 	w.size += int64(len(line))
-	w.sinceSync++
-	if w.opts.SyncEvery > 0 && w.sinceSync >= w.opts.SyncEvery {
-		if err := w.f.Sync(); err != nil {
-			w.err = fmt.Errorf("journal: sync: %w", err)
-			return w.seq, w.err
-		}
-		w.sinceSync = 0
-	}
 	if w.size >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			w.err = err
@@ -259,7 +244,7 @@ func (w *Writer) openSegmentLocked(firstSeq uint64) error {
 	if err != nil {
 		return fmt.Errorf("journal: open segment: %w", err)
 	}
-	w.f, w.size, w.sinceSync = f, 0, 0
+	w.f, w.size = f, 0
 	return nil
 }
 
@@ -288,24 +273,6 @@ func (w *Writer) rotateLocked() error {
 	return nil
 }
 
-// Sync flushes the current segment to stable storage.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if w.f == nil {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("journal: sync: %w", err)
-		return w.err
-	}
-	w.sinceSync = 0
-	return nil
-}
-
 // Close syncs and closes the current segment. The Writer is unusable
 // afterwards.
 func (w *Writer) Close() error {
@@ -322,20 +289,6 @@ func (w *Writer) Close() error {
 	if w.err == nil && err != nil {
 		w.err = fmt.Errorf("journal: close: %w", err)
 	}
-	return w.err
-}
-
-// Seq returns the last assigned sequence number (0 before any Record).
-func (w *Writer) Seq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
-// Err returns the writer's sticky error, if any append has failed.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.err
 }
 

@@ -416,13 +416,14 @@ func (d *decoder) checkpoint(ck *Checkpoint) {
 // AppendFingerprint appends a stable identity for a set of option knobs to
 // b, for simulation cache keys. The bytes are exactly what fmt's %+v prints
 // for o — fields in declaration order, InitialConfig in its String form,
-// floats as %v formats them — because every stored key was built from
-// that form; TestAppendFingerprintMatchesPlusV fills every field by
-// reflection and holds the two equal, so a field added to Options must be
-// added here too. Interface-valued fields (OS, Actuator, Hybrid) are the
-// caller's responsibility: they carry behaviour that the caller must name
-// in its own part of the key, so AppendFingerprint rejects options that
-// still have them set.
+// floats as %v formats them — with retiredFingerprintSlots before the
+// closing brace, because every stored key was built from that form;
+// TestAppendFingerprintMatchesPlusV fills every field by reflection and
+// holds the two equal, so a field added to Options must be added here
+// too. Interface-valued fields (OS, Actuator, Hybrid) are the caller's
+// responsibility: they carry behaviour that the caller must name in its
+// own part of the key, so AppendFingerprint rejects options that still
+// have them set.
 func (o Options) AppendFingerprint(b []byte) ([]byte, error) {
 	if o.OS != nil || o.Actuator != nil || o.Hybrid != nil {
 		return b, errors.New("sim: options fingerprint requires nil OS/Actuator/Hybrid (name policies separately)")
@@ -448,13 +449,13 @@ func (o Options) AppendFingerprint(b []byte) ([]byte, error) {
 	b = strconv.AppendBool(append(b, " CaptureOutput:"...), o.CaptureOutput)
 	b = strconv.AppendInt(append(b, " MaxOutput:"...), int64(o.MaxOutput), 10)
 	b = strconv.AppendBool(append(b, " LegacyInterp:"...), o.LegacyInterp)
-	b = appendFloatField(b, " UserInputLatencyS:", o.UserInputLatencyS)
-	b = appendFloatField(b, " FileReadLatencyS:", o.FileReadLatencyS)
-	b = appendFloatField(b, " WriteLatencyS:", o.WriteLatencyS)
-	b = appendFloatField(b, " NetLatencyS:", o.NetLatencyS)
-	b = appendFloatField(b, " WakeLatencyS:", o.WakeLatencyS)
-	return append(b, '}'), nil
+	return append(b, retiredFingerprintSlots...), nil
 }
+
+// retiredFingerprintSlots closes every fingerprint with the five blocking
+// latencies that were once Options fields. No caller ever set them, so
+// every stored key carries them as zeros; writing them keeps those keys.
+const retiredFingerprintSlots = " UserInputLatencyS:0 FileReadLatencyS:0 WriteLatencyS:0 NetLatencyS:0 WakeLatencyS:0}"
 
 // appendFloatField appends name and f as %v prints a float64.
 func appendFloatField(b []byte, name string, f float64) []byte {

@@ -72,8 +72,11 @@ func fillOptions(t *testing.T, rng *rand.Rand, v reflect.Value) {
 
 // TestAppendFingerprintMatchesPlusV holds AppendFingerprint to the bytes
 // fmt's %+v prints for the same Options, which is what every stored cache
-// key was built from.
+// key was built from. The five blocking latencies were Options fields
+// when those keys were built, always zero; they are spliced back in
+// before the closing brace.
 func TestAppendFingerprintMatchesPlusV(t *testing.T) {
+	const retired = " UserInputLatencyS:0 FileReadLatencyS:0 WriteLatencyS:0 NetLatencyS:0 WakeLatencyS:0"
 	rng := rand.New(rand.NewSource(1))
 	cases := []Options{{}, {Args: []int64{}}, {InitialConfig: hw.Config{Little: 4, Big: 4}}}
 	for i := 0; i < 2000; i++ {
@@ -82,7 +85,8 @@ func TestAppendFingerprintMatchesPlusV(t *testing.T) {
 		cases = append(cases, o)
 	}
 	for _, o := range cases {
-		want := fmt.Sprintf("%+v", o)
+		plusV := fmt.Sprintf("%+v", o)
+		want := plusV[:len(plusV)-1] + retired + "}"
 		got, err := o.AppendFingerprint([]byte("prefix"))
 		if err != nil {
 			t.Fatal(err)

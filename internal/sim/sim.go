@@ -60,21 +60,22 @@ type Options struct {
 	// so the flag exists for cross-checking and for isolating fast-path
 	// regressions, not for behavioural choice.
 	LegacyInterp bool
+}
 
-	// Blocking latencies (seconds). Zero values take defaults. These model
-	// the simulated board's I/O paths, scaled with the time axis.
-	UserInputLatencyS float64 // read_user_data (default 3 ms)
-	FileReadLatencyS  float64 // read_int/read_float (default 2 µs)
-	WriteLatencyS     float64 // print_* (default 1.5 µs)
-	NetLatencyS       float64 // net_recv (default 300 µs); net_send is 1/4
+// Blocking latencies (seconds): the simulated board's I/O paths.
+const (
+	userInputLatencyS = 3e-3   // read_user_data
+	fileReadLatencyS  = 2e-6   // read_int/read_float
+	writeLatencyS     = 1.5e-6 // print_*
+	netLatencyS       = 300e-6 // net_recv; net_send is 1/4
 
-	// WakeLatencyS is the scheduler wake-up cost charged on the critical
+	// wakeLatencyS is the scheduler wake-up cost charged on the critical
 	// path when a blocked thread is released (contended lock handoff,
 	// barrier release, join completion) — the futex-wake path on a real
 	// kernel. It is what makes contended synchronization slower than
-	// uncontended execution. Default 0.4 µs.
-	WakeLatencyS float64
-}
+	// uncontended execution.
+	wakeLatencyS = 0.4e-6
+)
 
 func (o *Options) setDefaults() {
 	if o.QuantumS == 0 {
@@ -97,21 +98,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxOutput == 0 {
 		o.MaxOutput = 10000
-	}
-	if o.UserInputLatencyS == 0 {
-		o.UserInputLatencyS = 3e-3
-	}
-	if o.FileReadLatencyS == 0 {
-		o.FileReadLatencyS = 2e-6
-	}
-	if o.WriteLatencyS == 0 {
-		o.WriteLatencyS = 1.5e-6
-	}
-	if o.NetLatencyS == 0 {
-		o.NetLatencyS = 300e-6
-	}
-	if o.WakeLatencyS == 0 {
-		o.WakeLatencyS = 0.4e-6
 	}
 }
 
@@ -379,17 +365,6 @@ func (m *Machine) growMem(addr int64) bool {
 	return true
 }
 
-// Accessors used by OS policies, actuators and tests.
-
-// Platform returns the machine's hardware description.
-func (m *Machine) Platform() *hw.Platform { return m.plat }
-
-// Config returns the current hardware configuration.
-func (m *Machine) Config() hw.Config { return m.cfg }
-
-// Now returns the current virtual time in seconds.
-func (m *Machine) Now() float64 { return m.now }
-
 // setActive rebuilds the active core lists from the cores' active flags.
 func (m *Machine) setActive() {
 	m.activeIDs, m.activeBig, m.activeLittle = m.activeIDs[:0], m.activeBig[:0], m.activeLittle[:0]
@@ -405,6 +380,8 @@ func (m *Machine) setActive() {
 		}
 	}
 }
+
+// Accessors used by OS policies, actuators and tests.
 
 // ActiveCoreIDs lists the currently active core indices in index order.
 // The slice belongs to the machine: it is valid until the next
@@ -430,9 +407,6 @@ func (m *Machine) QueueLen(i int) int {
 	}
 	return n
 }
-
-// LastHWPhase returns the hardware phase observed at the latest checkpoint.
-func (m *Machine) LastHWPhase() perfmon.HWPhase { return m.lastHW }
 
 // Threads returns the live thread handles (for policies). The slice
 // belongs to the machine: it is valid until the next call to Threads and

@@ -177,19 +177,19 @@ func (m *Machine) execSyncBuiltin(c *core, t *Thread, fr *frame, in *ir.Instr, b
 	case ir.BReadUserData:
 		set(t.threadRand() % 10)
 		m.blockThread(t, brIO)
-		m.wakeAt(t, m.now+m.jitter(m.opts.UserInputLatencyS, 0.4))
+		m.wakeAt(t, m.now+m.jitter(userInputLatencyS, 0.4))
 		return stBlocked
 
 	case ir.BReadInt:
 		set(t.threadRand() % 1000)
 		m.blockThread(t, brIO)
-		m.wakeAt(t, m.now+m.jitter(m.opts.FileReadLatencyS, 0.5))
+		m.wakeAt(t, m.now+m.jitter(fileReadLatencyS, 0.5))
 		return stBlocked
 
 	case ir.BReadFloat:
 		set(f2b(t.threadRandFloat()))
 		m.blockThread(t, brIO)
-		m.wakeAt(t, m.now+m.jitter(m.opts.FileReadLatencyS, 0.5))
+		m.wakeAt(t, m.now+m.jitter(fileReadLatencyS, 0.5))
 		return stBlocked
 
 	case ir.BPrintInt, ir.BPrintFloat, ir.BPrintChar:
@@ -206,18 +206,18 @@ func (m *Machine) execSyncBuiltin(c *core, t *Thread, fr *frame, in *ir.Instr, b
 			m.output = append(m.output, s)
 		}
 		m.blockThread(t, brIO)
-		m.wakeAt(t, m.now+m.jitter(m.opts.WriteLatencyS, 0.3))
+		m.wakeAt(t, m.now+m.jitter(writeLatencyS, 0.3))
 		return stBlocked
 
 	case ir.BNetRecv:
 		set(t.threadRand() % 4096)
 		m.blockThread(t, brNet)
-		m.wakeAt(t, m.now+m.jitter(m.opts.NetLatencyS, 0.5))
+		m.wakeAt(t, m.now+m.jitter(netLatencyS, 0.5))
 		return stBlocked
 
 	case ir.BNetSend:
 		m.blockThread(t, brNet)
-		m.wakeAt(t, m.now+m.jitter(m.opts.NetLatencyS/4, 0.5))
+		m.wakeAt(t, m.now+m.jitter(netLatencyS/4, 0.5))
 		return stBlocked
 	}
 	m.fail("builtin %s reached sync execution path", bi.Name)

@@ -107,10 +107,6 @@ func (t *Thread) Phase() features.Phase {
 	return t.phase
 }
 
-// State exposes a coarse view for policies: true if the thread is ready or
-// running.
-func (t *Thread) Runnable() bool { return t.state == tsReady || t.state == tsRunning }
-
 // Ready reports whether the thread is queued (not running, blocked or done);
 // only ready threads can be migrated.
 func (t *Thread) Ready() bool { return t.state == tsReady }
@@ -336,7 +332,7 @@ func (m *Machine) wakeRelease(t *Thread) {
 	if t.state != tsBlocked {
 		return
 	}
-	m.wakeAt(t, m.now+m.opts.WakeLatencyS)
+	m.wakeAt(t, m.now+wakeLatencyS)
 }
 
 // exitThread finalizes a finished thread.
